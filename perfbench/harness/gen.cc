@@ -284,8 +284,12 @@ AnalyticWriteGenerator::AnalyticWriteGenerator(const GraphSpec& spec,
 Statement AnalyticWriteGenerator::Next() {
   Statement s;
   s.kind = 0;
-  s.text = "MATCH (u:User {id: $id}) SET u.score = $score";
-  s.params = {{"id", Value::Int(rng_.NextInRange(0, spec_.users - 1))},
+  s.text = "UNWIND $ids AS id MATCH (u:User {id: id}) SET u.score = $score";
+  std::vector<Value> ids;
+  for (int i = 0; i < kPointsPerWrite; ++i) {
+    ids.push_back(Value::Int(rng_.NextInRange(0, spec_.users - 1)));
+  }
+  s.params = {{"ids", Value::List(std::move(ids))},
               {"score", Value::Int(++counter_)}};
   return s;
 }

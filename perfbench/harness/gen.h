@@ -110,9 +110,14 @@ class AnalyticReadGenerator {
   cypher::SplitMix64 rng_;
 };
 
-/// The analytic open-loop writer: SET-only point updates.
+/// The analytic open-loop writer: SET-only point updates, eight per
+/// statement. A single ~10 us point SET took 2-3x longer on some runs than
+/// on others (cold caches after the writer's sleep); eight keep the
+/// statement's cost from hinging on that.
 class AnalyticWriteGenerator {
  public:
+  static constexpr int kPointsPerWrite = 8;
+
   AnalyticWriteGenerator(const GraphSpec& spec, uint64_t seed);
   Statement Next();
 

@@ -140,6 +140,8 @@ void EmitEndToEnd(const std::string& workload,
                   const ClassLatency& primary, const ClassLatency& secondary,
                   Report* report) {
   std::map<std::string, double> v;
+  // Read before the percentiles below copy the sample buffers.
+  v["peak_rss_mb"] = PeakRssMb();
   double setup_s = Median(setups);
   v["setup_s"] = setup_s;
   v["stmt_per_s"] = stmt_per_s;
@@ -147,7 +149,6 @@ void EmitEndToEnd(const std::string& workload,
   v["primary_tail_us"] = WindowedPercentile(primary.us, primary.tail_q);
   v["secondary_p50_us"] = Percentile(secondary.us, 0.5);
   v["secondary_tail_us"] = WindowedPercentile(secondary.us, secondary.tail_q);
-  v["peak_rss_mb"] = PeakRssMb();
   Emit(EndToEndNames(), v, report);
   for (const ClassLatency* c : {&primary, &secondary}) {
     std::string tail = "p" + std::to_string(static_cast<int>(c->tail_q * 100));
@@ -370,6 +371,20 @@ void ForEachShard(std::vector<OltpShard>* shards, F&& fn) {
   for (std::thread& t : threads) t.join();
 }
 
+/// Appends the clients' samples slice by slice: the w-th fifth of every
+/// client's (completion-ordered) samples, then the next fifth, so the
+/// windows WindowedPercentile cuts stay aligned in time across clients.
+void PoolInTimeOrder(const std::vector<const std::vector<double>*>& parts,
+                     std::vector<double>* out) {
+  constexpr size_t kSlices = 5;
+  for (size_t w = 0; w < kSlices; ++w) {
+    for (const std::vector<double>* part : parts) {
+      out->insert(out->end(), part->begin() + part->size() * w / kSlices,
+                  part->begin() + part->size() * (w + 1) / kSlices);
+    }
+  }
+}
+
 /// Every shard's client for `seconds`: counts add up, elapsed time is the
 /// clients' mean, latency samples pool.
 OltpWindow RunOltpShards(std::vector<OltpShard>* shards, double seconds,
@@ -380,15 +395,16 @@ OltpWindow RunOltpShards(std::vector<OltpShard>* shards, double seconds,
                              &shard.visits_writes, &shard.report);
   });
   OltpWindow merged;
+  std::vector<const std::vector<double>*> reads, writes;
   for (const OltpWindow& part : parts) {
     merged.statements += part.statements;
     merged.failed += part.failed;
     merged.elapsed_s += part.elapsed_s / parts.size();
-    merged.read.us.insert(merged.read.us.end(), part.read.us.begin(),
-                          part.read.us.end());
-    merged.write.us.insert(merged.write.us.end(), part.write.us.begin(),
-                           part.write.us.end());
+    reads.push_back(&part.read.us);
+    writes.push_back(&part.write.us);
   }
+  PoolInTimeOrder(reads, &merged.read.us);
+  PoolInTimeOrder(writes, &merged.write.us);
   return merged;
 }
 
