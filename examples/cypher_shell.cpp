@@ -31,7 +31,7 @@
 //                             staleness-detach warnings
 //   :cache                    plan-cache hit/miss/eviction counters
 //   :cache clear              drop cached plans and reset the counters
-//   :cache on|off             route statements through the plan cache / VM
+//   :cache on|off             route statements through the plan cache
 //   :clear                    drop the graph
 //   :quit                     exit
 //

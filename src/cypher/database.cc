@@ -19,7 +19,6 @@
 #include "storage/wal.h"
 #include "vm/compiler.h"
 #include "vm/normalize.h"
-#include "vm/vm.h"
 
 namespace cypher {
 
@@ -27,8 +26,9 @@ namespace {
 
 /// Execution options that could conceivably steer plan compilation are
 /// folded into every cache key, so sessions running different semantics
-/// never share an entry. (Today's Programs read all options at runtime —
-/// the fingerprint is cheap insurance against that ever changing.)
+/// never share an entry. (The interpreter reads all options at runtime, so
+/// a cached AST does not depend on them — the fingerprint is cheap
+/// insurance against that ever changing.)
 std::string OptionsFingerprint(const EvalOptions& options) {
   std::string fp;
   fp += std::to_string(static_cast<int>(options.semantics));
@@ -43,7 +43,7 @@ std::string OptionsFingerprint(const EvalOptions& options) {
   fp += '|';
   // Snapshot sessions key on their pinned epoch: a pinned compile skips
   // index anchors and its stamped match-plan slots are epoch-specific, so
-  // sharing one Program between the writer and a pinned session (or two
+  // sharing one entry between the writer and a pinned session (or two
   // sessions at different epochs) would recompile the slot on every
   // alternation — under the slot mutex, serializing the very readers MVCC
   // is meant to unleash. Distinct keys give each (session, epoch) a stable
@@ -56,15 +56,14 @@ std::string OptionsFingerprint(const EvalOptions& options) {
 }
 
 /// Appends the execution-tier row to an EXPLAIN plan, after the SEMANTICS
-/// row: which tier a normal execution of this statement takes (vm /
-/// interpreter) and how the plan cache would treat it.
-void AppendTierRow(QueryResult* result, const char* tier,
-                   const std::string& disposition) {
+/// row: every statement runs on the interpreter, and `disposition` says how
+/// the plan cache would treat it (hit / miss / disabled / uncacheable).
+void AppendTierRow(QueryResult* result, const char* disposition) {
   int64_t step =
       result->rows.empty() ? 0 : result->rows.back().front().AsInt() + 1;
   result->rows.push_back(
       {Value::Int(step), Value::String("TIER"),
-       Value::String(std::string(tier) + "; plan cache: " + disposition)});
+       Value::String(std::string("interpreter; plan cache: ") + disposition)});
 }
 
 }  // namespace
@@ -112,7 +111,7 @@ Result<QueryResult> GraphDatabase::ExecuteWith(std::string_view query,
   };
   Result<QueryResult> result = RunStatement(run, options);
   if (result.ok() && ast.mode == QueryMode::kExplain) {
-    AppendTierRow(&*result, "interpreter", "disabled");
+    AppendTierRow(&*result, "disabled");
   }
   return result;
 }
@@ -144,7 +143,7 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
       Result<QueryResult> result = RunStatement(run, options);
       if (result.ok() && ast.mode == QueryMode::kExplain) {
         if (ddl) {
-          AppendTierRow(&*result, "interpreter", "uncacheable (DDL)");
+          AppendTierRow(&*result, "uncacheable (DDL)");
         } else {
           // What would a normal execution of this statement do right now?
           Query probe = CloneQuery(ast);
@@ -153,7 +152,7 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
           ParametrizeQuery(&probe, &probe_literals);
           bool warm = plan_cache_->PeekShape(fingerprint +
                                              "shape:" + ToCypher(probe));
-          AppendTierRow(&*result, "vm", warm ? "hit" : "miss");
+          AppendTierRow(&*result, warm ? "hit" : "miss");
         }
       }
       return result;
@@ -164,13 +163,13 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
     plan = plan_cache_->LookupShape(shape_key);
     if (plan == nullptr) {
       ++counters->misses;
-      // Move the AST into the entry first, compile second: the Program's
-      // pointers reach into heap-allocated clause nodes, which do not move
-      // with the Query object.
+      // Move the AST into the entry first, build the slots second: they
+      // point into heap-allocated clause nodes, which do not move with the
+      // Query object.
       auto fresh = std::make_shared<CachedPlan>();
       fresh->ast = std::move(ast);
       fresh->num_params = literals.size();
-      fresh->program = CompileStatement(fresh->ast);
+      fresh->match_slots = CompileStatement(fresh->ast);
       plan = std::move(fresh);
       plan_cache_->InsertShape(shape_key, plan);
     } else {
@@ -186,8 +185,8 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
     merged.emplace("#" + std::to_string(i), std::move(literals[i]));
   }
   auto run = [&](const CommitHook& hook) -> Result<QueryResult> {
-    return RunProgram(&graph_, *plan->program, plan->ast, merged, options,
-                      hook);
+    return ExecuteQuery(&graph_, plan->ast, merged, options, hook,
+                        &plan->match_slots);
   };
   return RunStatement(run, options);
 }
@@ -259,7 +258,7 @@ Status GraphDatabase::Checkpoint() {
   // A checkpoint record is just another shippable record: contiguous
   // followers skip its payload (they already hold that state) but their
   // cursors advance past it.
-  if (shipper_ != nullptr) (void)shipper_->Pump();
+  if (replication::LogShipper* shipper = shipper_.get()) (void)shipper->Pump();
   return Status::OK();
 }
 
@@ -340,7 +339,9 @@ Result<QueryResult> GraphDatabase::ExecuteDurableWith(const PlanExecutor& run) {
   // Ship the newly durable bytes to any attached followers. A transport
   // hiccup never fails the statement — the shipper's cursors stay put and
   // the next pump retries.
-  if (result.ok() && logged && shipper_ != nullptr) (void)shipper_->Pump();
+  if (result.ok() && logged) {
+    if (replication::LogShipper* shipper = shipper_.get()) (void)shipper->Pump();
+  }
   return result;
 }
 
@@ -356,17 +357,17 @@ Result<int> GraphDatabase::AttachFollower(
   if (transport == nullptr) {
     return Status::InvalidArgument("AttachFollower needs a transport");
   }
-  EnsureShipper(options);
+  replication::LogShipper* shipper = EnsureShipper(options);
   int id;
   {
     // Under the execution lock the graph and the log end cannot move, so
     // the bootstrap snapshot is consistent with exactly the statements
     // below the attach LSN — the invariant every later segment extends.
     std::lock_guard<std::mutex> lock(wal_->exec_mu);
-    id = shipper_->Attach(std::move(transport), wal_->writer.appended_lsn(),
-                          storage::EncodeSnapshot(graph_));
+    id = shipper->Attach(std::move(transport), wal_->writer.appended_lsn(),
+                         storage::EncodeSnapshot(graph_));
   }
-  (void)shipper_->Pump();
+  (void)shipper->Pump();
   return id;
 }
 
@@ -392,42 +393,67 @@ Result<int> GraphDatabase::AttachFollowerAt(
         "resume lsn " + std::to_string(lsn) + " is past the log end " +
         std::to_string(wal_->writer.appended_lsn()));
   }
-  EnsureShipper(options);
+  replication::LogShipper* shipper = EnsureShipper(options);
   // No snapshot and no execution lock needed: the follower's own durable
   // log stands in for the bootstrap. AttachAt registers the retention pin;
   // a compaction racing between the resume-floor check above and the pin
   // could still have dropped the bytes, so re-check once the pin is in
   // place and undo the attach if retention moved past us.
-  int id = shipper_->AttachAt(std::move(transport), lsn);
+  int id = shipper->AttachAt(std::move(transport), lsn);
   if (lsn < wal_->writer.min_resume_lsn()) {
-    (void)shipper_->Detach(id);
+    (void)shipper->Detach(id);
     return Status::InvalidArgument(
         "resume lsn " + std::to_string(lsn) +
         " was compacted away during attach; the follower must re-bootstrap");
   }
-  (void)shipper_->Pump();
+  (void)shipper->Pump();
   return id;
 }
 
-void GraphDatabase::EnsureShipper(const ReplicationOptions& options) {
-  if (shipper_ != nullptr) return;
+replication::LogShipper* GraphDatabase::EnsureShipper(
+    const ReplicationOptions& options) {
+  if (replication::LogShipper* shipper = shipper_.get()) return shipper;
   replication::ShipperOptions shipper_options;
   shipper_options.segment_bytes = options.segment_bytes;
   shipper_options.max_retained_bytes = options.max_retained_bytes;
-  shipper_ =
-      std::make_unique<replication::LogShipper>(&wal_->writer, shipper_options);
+  return shipper_.Publish(std::make_unique<replication::LogShipper>(
+      &wal_->writer, shipper_options));
+}
+
+GraphDatabase::ShipperSlot::ShipperSlot(ShipperSlot&& other) noexcept
+    : ptr_(other.ptr_.exchange(nullptr)) {}
+
+GraphDatabase::ShipperSlot& GraphDatabase::ShipperSlot::operator=(
+    ShipperSlot&& other) noexcept {
+  if (this != &other) delete ptr_.exchange(other.ptr_.exchange(nullptr));
+  return *this;
+}
+
+GraphDatabase::ShipperSlot::~ShipperSlot() { delete ptr_.load(); }
+
+replication::LogShipper* GraphDatabase::ShipperSlot::Publish(
+    std::unique_ptr<replication::LogShipper> shipper) {
+  replication::LogShipper* expected = nullptr;
+  if (ptr_.compare_exchange_strong(expected, shipper.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return shipper.release();
+  }
+  return expected;  // a concurrent first attach won; drop ours
 }
 
 Status GraphDatabase::DetachFollower(int id) {
-  if (shipper_ == nullptr) {
+  replication::LogShipper* shipper = shipper_.get();
+  if (shipper == nullptr) {
     return Status::InvalidArgument("no followers attached");
   }
-  return shipper_->Detach(id);
+  return shipper->Detach(id);
 }
 
 Status GraphDatabase::PumpReplication() {
-  if (shipper_ == nullptr) return Status::OK();
-  return shipper_->Pump();
+  replication::LogShipper* shipper = shipper_.get();
+  if (shipper == nullptr) return Status::OK();
+  return shipper->Pump();
 }
 
 ReplicationStatus GraphDatabase::replication_status() const {
@@ -438,15 +464,15 @@ ReplicationStatus GraphDatabase::replication_status() const {
     status.log_bytes = wal_->writer.LogBytes();
   }
   status.min_acked_lsn = UINT64_MAX;
-  if (shipper_ != nullptr) {
-    for (const replication::FollowerStatus& f : shipper_->Statuses()) {
+  if (const replication::LogShipper* shipper = shipper_.get()) {
+    for (const replication::FollowerStatus& f : shipper->Statuses()) {
       status.detail.push_back({f.id, f.acked_lsn, f.shipped_lsn, f.resends,
                                f.link});
       status.min_acked_lsn = std::min(status.min_acked_lsn, f.acked_lsn);
     }
     status.followers = status.detail.size();
-    status.stale_detaches = shipper_->stale_detaches();
-    status.last_stale_warning = shipper_->last_stale_warning();
+    status.stale_detaches = shipper->stale_detaches();
+    status.last_stale_warning = shipper->last_stale_warning();
   }
   return status;
 }

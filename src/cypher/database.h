@@ -228,16 +228,19 @@ class GraphDatabase {
   /// durable bytes. Called automatically after each durable commit.
   Status PumpReplication();
 
+  /// Lock-free: safe to poll from any thread, including while another
+  /// thread attaches the first follower.
   ReplicationStatus replication_status() const;
 
-  bool replicating() const { return shipper_ != nullptr; }
+  bool replicating() const { return shipper_.get() != nullptr; }
 
   // ---- Plan cache -----------------------------------------------------------
 
   /// The session's parametrized plan cache (see vm/plan_cache.h). Execute
   /// consults it unless EvalOptions::use_plan_cache is off: literals are
-  /// auto-parametrized, the normalized shape keys a compiled bytecode
-  /// Program, and repeat statements skip parse + compile entirely. The
+  /// auto-parametrized, the normalized shape keys the parametrized AST plus
+  /// its stamped match-plan slots, and repeat statements skip parse and
+  /// pattern compilation; the interpreter runs every statement. The
   /// cache is cleared whenever the graph object is replaced wholesale
   /// (LoadFromFile, WAL recovery) — cached match plans are stamped against
   /// graph statistics and must not survive a swap.
@@ -287,9 +290,9 @@ class GraphDatabase {
 
   /// Runs one statement's executor under the WAL session: execution lock,
   /// redo capture, the commit hook that appends (and, per sync mode,
-  /// fsyncs) the statement record. The executor is either the interpreter
-  /// or the VM — durability is tier-agnostic. On success the new epoch is
-  /// published (MVCC) and the auto-checkpoint threshold consulted.
+  /// fsyncs) the statement record. The executor runs the interpreter, with
+  /// or without a cached plan. On success the new epoch is published
+  /// (MVCC) and the auto-checkpoint threshold consulted.
   using PlanExecutor = std::function<Result<QueryResult>(const CommitHook&)>;
   Result<QueryResult> ExecuteDurableWith(const PlanExecutor& run);
 
@@ -307,7 +310,7 @@ class GraphDatabase {
                                   const EvalOptions& options,
                                   SessionCacheCounters* counters);
 
-  /// The plan-cache + VM route of Execute (use_plan_cache on).
+  /// The plan-cache route of Execute (use_plan_cache on).
   Result<QueryResult> ExecuteCached(std::string_view query,
                                     const ValueMap& params,
                                     const EvalOptions& options,
@@ -317,15 +320,40 @@ class GraphDatabase {
   /// to [magic, snapshot] once it outgrows the configured threshold.
   void MaybeAutoCheckpoint();
 
-  /// Lazily creates the shared shipper; the first attach's options win.
-  void EnsureShipper(const ReplicationOptions& options);
+  /// Lazily creates the shared shipper and returns it; the first attach's
+  /// options win.
+  replication::LogShipper* EnsureShipper(const ReplicationOptions& options);
+
+  /// Owns the shipper. The first attach creates it, often on a replication
+  /// server thread, while commits, checkpoints and status polls read it on
+  /// other threads: it is published once with release semantics and read
+  /// with acquire, so readers need no lock. Moving is safe only while no
+  /// other thread can reach the database.
+  class ShipperSlot {
+   public:
+    ShipperSlot() = default;
+    ShipperSlot(ShipperSlot&& other) noexcept;
+    ShipperSlot& operator=(ShipperSlot&& other) noexcept;
+    ~ShipperSlot();
+
+    replication::LogShipper* get() const {
+      return ptr_.load(std::memory_order_acquire);
+    }
+    /// Publishes `shipper` unless one is already published; returns the
+    /// published shipper either way.
+    replication::LogShipper* Publish(
+        std::unique_ptr<replication::LogShipper> shipper);
+
+   private:
+    std::atomic<replication::LogShipper*> ptr_{nullptr};
+  };
 
   PropertyGraph graph_;
   EvalOptions options_;
   std::unique_ptr<WalSession> wal_;
   /// Declared after wal_: the shipper holds retention pins in wal_'s writer
   /// and must release them first on destruction.
-  std::unique_ptr<replication::LogShipper> shipper_;
+  ShipperSlot shipper_;
   std::unique_ptr<PlanCache> plan_cache_;
   SessionCacheCounters session_counters_;
   bool mvcc_requested_ = false;

@@ -160,13 +160,11 @@ struct ValueEq {
 };
 using ValueSet = std::unordered_set<Value, ValueHash, ValueEq>;
 
-}  // namespace
-
-// ---- Shared value kernels ---------------------------------------------------
+// ---- Value kernels ----------------------------------------------------------
 //
-// Applied to already-evaluated operands by both the tree evaluator below and
-// the bytecode expression VM; see the declarations in evaluator.h.
+// The tree evaluator below applies these rules to already-evaluated operands.
 
+/// Calls a non-aggregate built-in function on evaluated arguments.
 Result<Value> EvalScalarFunction(const EvalContext& ctx,
                                  const std::string& name,
                                  std::vector<Value> args) {
@@ -543,6 +541,7 @@ Result<Value> EvalScalarFunction(const EvalContext& ctx,
   return TypeError("unknown function: " + name);
 }
 
+/// The kUnary rule: NOT / unary minus / unary plus on an evaluated operand.
 Result<Value> EvalUnaryValue(UnaryOp op, const Value& v) {
   switch (op) {
     case UnaryOp::kNot: {
@@ -564,6 +563,8 @@ Result<Value> EvalUnaryValue(UnaryOp op, const Value& v) {
   return Value::Null();
 }
 
+/// The kBinary rule on two evaluated operands (both sides are always
+/// evaluated first — ternary logic needs them).
 Result<Value> EvalBinaryValues(BinaryOp op, const Value& a, const Value& b) {
   auto as_tri = [](const Value& v) -> Result<Tri> {
     if (v.is_null()) return Tri::kNull;
@@ -620,6 +621,7 @@ Result<Value> EvalBinaryValues(BinaryOp op, const Value& a, const Value& b) {
   return Value::Null();
 }
 
+/// The kProperty rule on an evaluated object (node / relationship / map).
 Result<Value> EvalPropertyValue(const EvalContext& ctx, const Value& object,
                                 const std::string& key) {
   if (object.is_null()) return Value::Null();
@@ -641,6 +643,7 @@ Result<Value> EvalPropertyValue(const EvalContext& ctx, const Value& object,
                    ValueTypeName(object.type()));
 }
 
+/// The kHasLabels rule on an evaluated object.
 Result<Value> EvalHasLabelsValue(const EvalContext& ctx, const Value& object,
                                  const std::vector<std::string>& labels) {
   if (object.is_null()) return Value::Null();
@@ -657,6 +660,7 @@ Result<Value> EvalHasLabelsValue(const EvalContext& ctx, const Value& object,
   return Value::Bool(true);
 }
 
+/// The kIndex subscript rule on evaluated object and index values.
 Result<Value> EvalIndexValue(const Value& object, const Value& index) {
   if (object.is_null() || index.is_null()) return Value::Null();
   if (object.is_list()) {
@@ -677,6 +681,8 @@ Result<Value> EvalIndexValue(const Value& object, const Value& index) {
   return TypeError("subscript applies to lists and maps");
 }
 
+/// The predicate coercion used by WHERE: bool -> Tri, null -> kNull, any
+/// other type -> the "predicate evaluated to <type>" ExecutionError.
 Result<Tri> PredicateTri(const Value& v) {
   if (v.is_bool()) return TriFromBool(v.AsBool());
   if (v.is_null()) return Tri::kNull;
@@ -684,6 +690,8 @@ Result<Tri> PredicateTri(const Value& v) {
                                 std::string(ValueTypeName(v.type())) +
                                 ", expected a boolean");
 }
+
+}  // namespace
 
 // ---- Row-loop fast path -----------------------------------------------------
 

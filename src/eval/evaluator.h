@@ -67,42 +67,6 @@ Result<Value> Evaluate(const EvalContext& ctx, const Bindings& bindings,
 Result<Tri> EvaluatePredicate(const EvalContext& ctx, const Bindings& bindings,
                               const Expr& expr);
 
-// ---- Shared value kernels ---------------------------------------------------
-//
-// The tree evaluator above and the bytecode expression VM
-// (src/vm/expr_program.cc) both apply these functions to already-evaluated
-// operand values. Keeping exactly one implementation of the coercions,
-// ternary logic and error strings is what makes the two execution tiers
-// byte-identical by construction.
-
-/// The kUnary rule: NOT / unary minus / unary plus on an evaluated operand.
-Result<Value> EvalUnaryValue(UnaryOp op, const Value& v);
-
-/// The kBinary rule on two evaluated operands (both sides are always
-/// evaluated first — ternary logic needs them — so value-level application
-/// is exactly the tree semantics).
-Result<Value> EvalBinaryValues(BinaryOp op, const Value& a, const Value& b);
-
-/// The kProperty rule on an evaluated object (node / relationship / map).
-Result<Value> EvalPropertyValue(const EvalContext& ctx, const Value& object,
-                                const std::string& key);
-
-/// The kHasLabels rule on an evaluated object.
-Result<Value> EvalHasLabelsValue(const EvalContext& ctx, const Value& object,
-                                 const std::vector<std::string>& labels);
-
-/// The kIndex subscript rule on evaluated object and index values.
-Result<Value> EvalIndexValue(const Value& object, const Value& index);
-
-/// Calls a non-aggregate built-in function on evaluated arguments.
-Result<Value> EvalScalarFunction(const EvalContext& ctx,
-                                 const std::string& name,
-                                 std::vector<Value> args);
-
-/// The predicate coercion used by WHERE: bool -> Tri, null -> kNull, any
-/// other type -> the "predicate evaluated to <type>" ExecutionError.
-Result<Tri> PredicateTri(const Value& v);
-
 }  // namespace cypher
 
 #endif  // CYPHER_EVAL_EVALUATOR_H_

@@ -15,6 +15,8 @@ namespace cypher {
 /// bare-MERGE rejection in revised mode, ...) happens here and surfaces as
 /// SemanticError / ExecutionError.
 
+/// MATCH compiles its pattern plan once per clause execution, or reuses the
+/// stamped slot of a cached statement (ExecContext::match_slots).
 Status ExecMatch(ExecContext* ctx, const MatchClause& clause, Table* table);
 Status ExecUnwind(ExecContext* ctx, const UnwindClause& clause, Table* table);
 Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
@@ -30,22 +32,6 @@ Status ExecCallSubquery(ExecContext* ctx, const CallSubqueryClause& clause,
 
 /// Dispatches on clause kind. WITH/RETURN both route to ExecProjection.
 Status ExecClause(ExecContext* ctx, const Clause& clause, Table* table);
-
-/// The fresh variables a MATCH introduces on top of `table`'s columns, in
-/// first-occurrence order (consistent across records of one table).
-std::vector<std::string> MatchNewVars(const MatchClause& clause,
-                                      const Table& table);
-
-/// The enumeration half of ExecMatch, driven by an already-compiled plan:
-/// runs `compiled` for every record of `*table` (fanning out through the
-/// morsel pool when the planner says so), applies the clause's WHERE and
-/// OPTIONAL null-padding, and replaces `*table` with the joined output.
-/// The bytecode VM compiles (or cache-hits) the plan itself and delegates
-/// here, so both tiers share one enumeration loop.
-Status ExecMatchCompiled(ExecContext* ctx, const MatchClause& clause,
-                         const CompiledMatch& compiled,
-                         const std::vector<std::string>& new_vars,
-                         Table* table);
 
 /// Evaluates a SKIP/LIMIT operand against an empty record; anything but a
 /// non-negative integer is an ExecutionError naming `what`.

@@ -14,6 +14,8 @@
 
 namespace cypher {
 
+struct MatchSlots;
+
 /// Mutable state threaded through clause executors for one statement.
 struct ExecContext {
   ExecContext(PropertyGraph* g, const ValueMap* p, const EvalOptions& o)
@@ -24,6 +26,9 @@ struct ExecContext {
   const EvalOptions& options;
   UpdateStats stats;
   SplitMix64 rng;
+  /// The cached statement's match-plan slots (exec/match_slots.h); null
+  /// when the statement did not come from the plan cache.
+  const MatchSlots* match_slots = nullptr;
 
   /// Read-only view for the expression evaluator.
   EvalContext Eval() const {

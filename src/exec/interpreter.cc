@@ -33,6 +33,8 @@ std::string UpdateStats::ToString() const {
   return out;
 }
 
+namespace {
+
 /// The Cypher 9 clause-ordering rule of Figure 2: reading clauses may not
 /// follow an update clause without an intervening WITH (Section 4.4).
 Status CheckStrictCypher9Ordering(const SingleQuery& part) {
@@ -61,6 +63,8 @@ Status CheckStrictCypher9Ordering(const SingleQuery& part) {
   return Status::OK();
 }
 
+/// Display name of a clause for error messages and plan rows
+/// ("OPTIONAL MATCH", "MERGE ALL", "CALL {...}", ...).
 const char* ClauseDisplayName(const Clause& clause) {
   switch (clause.kind) {
     case ClauseKind::kMatch:
@@ -107,8 +111,6 @@ const char* ClauseDisplayName(const Clause& clause) {
   }
   return "?";
 }
-
-namespace {
 
 /// Per-clause cardinality record for PROFILE.
 struct ProfileRow {
@@ -233,7 +235,8 @@ QueryResult BuildExplainPlan(const PropertyGraph& graph, const Query& query,
 Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
                                  const ValueMap& params,
                                  const EvalOptions& options,
-                                 const CommitHook& commit_hook) {
+                                 const CommitHook& commit_hook,
+                                 const MatchSlots* match_slots) {
   CYPHER_CHECK(!query.parts.empty());
   // Mixing UNION and UNION ALL is ambiguous; reject like Neo4j does.
   if (!query.union_all.empty()) {
@@ -251,6 +254,7 @@ Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
   }
 
   ExecContext ctx(graph, &params, options);
+  ctx.match_slots = match_slots;
   std::vector<ProfileRow> profile;
   std::vector<ProfileRow>* profile_ptr =
       query.mode == QueryMode::kProfile ? &profile : nullptr;

@@ -15,6 +15,8 @@
 
 namespace cypher {
 
+struct MatchSlots;
+
 /// The observable outcome of one statement: the output table (empty for
 /// update-only statements) and the mutation summary.
 struct QueryResult {
@@ -38,19 +40,15 @@ using CommitHook = std::function<Status()>;
 /// mutations are rolled back via the graph's undo journal, so a failed
 /// statement is a no-op — including legacy-mode statements that fail the
 /// end-of-statement dangling-relationship check.
+///
+/// `match_slots` is the plan cache's slot table for `query` (built by
+/// CompileStatement); its top-level MATCH clauses then reuse their stamped
+/// pattern plans instead of compiling per execution.
 Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
                                  const ValueMap& params,
                                  const EvalOptions& options,
-                                 const CommitHook& commit_hook = nullptr);
-
-/// The Cypher 9 clause-ordering rule of Figure 2 (Section 4.4): reading
-/// clauses may not follow an updating clause without an intervening WITH.
-/// Shared with the bytecode VM, which enforces the same rule per part.
-Status CheckStrictCypher9Ordering(const SingleQuery& part);
-
-/// Display name of a clause for error messages and plan rows
-/// ("OPTIONAL MATCH", "MERGE ALL", "CALL {...}", ...).
-const char* ClauseDisplayName(const Clause& clause);
+                                 const CommitHook& commit_hook = nullptr,
+                                 const MatchSlots* match_slots = nullptr);
 
 }  // namespace cypher
 

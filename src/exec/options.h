@@ -65,11 +65,12 @@ struct EvalOptions {
   /// default; the revised syntax (Figure 10) drops the rule.
   bool strict_cypher9_syntax = false;
 
-  /// Route statements through the parametrized plan cache and the bytecode
-  /// VM (GraphDatabase::Execute only; the lower-level ExecuteQuery entry
-  /// point is always the tree-walking interpreter). Off = every statement
-  /// reparses and runs interpreted — the reference path the differential
-  /// suites compare the VM against.
+  /// Route statements through the parametrized plan cache
+  /// (GraphDatabase::Execute only). Either way the interpreter executes
+  /// the statement; a cached statement skips parsing and reuses stamped
+  /// match plans. Off = every statement reparses and compiles its patterns
+  /// afresh — the reference path the differential suites compare the
+  /// cache against.
   bool use_plan_cache = true;
 
   /// Snapshot session pin (MVCC reads, DESIGN.md §4g). When set, the

@@ -1,17 +1,44 @@
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/read_pin.h"
 #include "eval/evaluator.h"
 #include "exec/clauses.h"
+#include "exec/match_slots.h"
 #include "exec/parallel.h"
 
 namespace cypher {
 
 // ---- MATCH / OPTIONAL MATCH ---------------------------------------------
 
+PlanStamp TakeStamp(const PropertyGraph& graph) {
+  PlanStamp stamp;
+  stamp.num_label_symbols = graph.num_label_symbols();
+  stamp.num_type_symbols = graph.num_type_symbols();
+  stamp.num_key_symbols = graph.num_key_symbols();
+  stamp.index_epoch = graph.index_epoch();
+  stamp.num_nodes = graph.num_nodes();
+  stamp.num_rels = graph.num_rels();
+  // FNV-1a over every per-label cardinality (symbols are dense), so any
+  // label-count shift — the input to anchor selection and chain reversal —
+  // changes the stamp even when the totals happen to cancel out.
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t label = 0; label < stamp.num_label_symbols; ++label) {
+    h ^= static_cast<uint64_t>(graph.LabelCount(static_cast<Symbol>(label)));
+    h *= 1099511628211ULL;
+  }
+  stamp.label_counts_hash = h;
+  return stamp;
+}
+
+namespace {
+
+/// The fresh variables a MATCH introduces on top of `table`'s columns, in
+/// first-occurrence order (consistent across records of one table).
 std::vector<std::string> MatchNewVars(const MatchClause& clause,
                                       const Table& table) {
   std::vector<std::string> new_vars;
@@ -26,25 +53,9 @@ std::vector<std::string> MatchNewVars(const MatchClause& clause,
   return new_vars;
 }
 
-Status ExecMatch(ExecContext* ctx, const MatchClause& clause, Table* table) {
-  // Fresh variables this MATCH introduces (consistent across records).
-  std::vector<std::string> new_vars = MatchNewVars(clause, *table);
-  EvalContext ec = ctx->Eval();
-  if (table->num_rows() == 0) {
-    // Still introduces the new (empty) columns.
-    Table out = Table::WithColumns(table->columns());
-    for (const std::string& var : new_vars) out.AddColumn(var);
-    *table = std::move(out);
-    return Status::OK();
-  }
-  // Compile once per clause: boundness and interned symbols are identical
-  // across records of one table; only row values differ (memoized per
-  // record inside the engine).
-  CompiledMatch compiled = CompileMatch(ec, Bindings(table, 0), clause.patterns,
-                                        {.num_rows = table->num_rows()});
-  return ExecMatchCompiled(ctx, clause, compiled, new_vars, table);
-}
-
+/// Runs `compiled` for every record of `*table` (fanning out through the
+/// morsel pool when the planner says so), applies the clause's WHERE and
+/// OPTIONAL null-padding, and replaces `*table` with the joined output.
 Status ExecMatchCompiled(ExecContext* ctx, const MatchClause& clause,
                          const CompiledMatch& compiled,
                          const std::vector<std::string>& new_vars,
@@ -97,6 +108,62 @@ Status ExecMatchCompiled(ExecContext* ctx, const MatchClause& clause,
   }
   *table = std::move(out);
   return Status::OK();
+}
+
+/// The plan in `slot`, recompiled first unless its stamp still matches the
+/// graph. The compile context carries no parameters — constant folding
+/// only ever folds literal/parameter subtrees, and a failed `$#N` fold
+/// stays a lazy filter evaluated with the session's real parameters at
+/// match time, so the cached plan has the same anchors, orientation, and
+/// emission order as a params-in-hand compile. Hints stay at the default
+/// num_rows=1: below kTransientIndexMinRows the hint changes nothing else.
+std::shared_ptr<const CompiledMatch> SlotPlan(const ExecContext& ctx,
+                                              const MatchSlot& slot,
+                                              const Table& table) {
+  EvalContext ec = ctx.Eval();
+  std::lock_guard<std::mutex> lock(slot.mu);
+  PlanStamp stamp = TakeStamp(*ec.graph);
+  if (ec.read_pin != nullptr) stamp.pinned_epoch = ec.read_pin->epoch + 1;
+  if (slot.plan == nullptr || !(slot.stamp == stamp)) {
+    EvalContext compile_ec{ec.graph, nullptr, ctx.options.match_mode,
+                           &ctx.options.cancel, ec.read_pin};
+    slot.plan = std::make_shared<const CompiledMatch>(
+        CompileMatch(compile_ec, Bindings(&table, 0), slot.clause->patterns));
+    slot.stamp = stamp;
+  }
+  return slot.plan;
+}
+
+}  // namespace
+
+Status ExecMatch(ExecContext* ctx, const MatchClause& clause, Table* table) {
+  // Fresh variables this MATCH introduces (consistent across records).
+  std::vector<std::string> new_vars = MatchNewVars(clause, *table);
+  size_t rows = table->num_rows();
+  if (rows == 0) {
+    // Still introduces the new (empty) columns.
+    Table out = Table::WithColumns(table->columns());
+    for (const std::string& var : new_vars) out.AddColumn(var);
+    *table = std::move(out);
+    return Status::OK();
+  }
+  // A cached statement reuses its stamped plan for small tables (the hot
+  // parametrized-statement case). From kTransientIndexMinRows rows on the
+  // compile may plan a transient hash index, which bakes live NodeIds and
+  // is never cacheable, so those compile fresh like an uncached clause.
+  const MatchSlot* slot = ctx->match_slots == nullptr
+                              ? nullptr
+                              : ctx->match_slots->Find(clause);
+  if (slot != nullptr && rows < kTransientIndexMinRows) {
+    std::shared_ptr<const CompiledMatch> plan = SlotPlan(*ctx, *slot, *table);
+    return ExecMatchCompiled(ctx, clause, *plan, new_vars, table);
+  }
+  // Compile once per clause: boundness and interned symbols are identical
+  // across records of one table; only row values differ (memoized per
+  // record inside the engine).
+  CompiledMatch compiled = CompileMatch(ctx->Eval(), Bindings(table, 0),
+                                        clause.patterns, {.num_rows = rows});
+  return ExecMatchCompiled(ctx, clause, compiled, new_vars, table);
 }
 
 // ---- UNWIND ---------------------------------------------------------------

@@ -1,113 +1,22 @@
 #include "vm/compiler.h"
 
-#include <string>
-#include <unordered_set>
-#include <utility>
+#include <memory>
 
 #include "ast/clause.h"
-#include "ast/expr.h"
 
 namespace cypher {
 
-PlanStamp TakeStamp(const PropertyGraph& graph) {
-  PlanStamp stamp;
-  stamp.num_label_symbols = graph.num_label_symbols();
-  stamp.num_type_symbols = graph.num_type_symbols();
-  stamp.num_key_symbols = graph.num_key_symbols();
-  stamp.index_epoch = graph.index_epoch();
-  stamp.num_nodes = graph.num_nodes();
-  stamp.num_rels = graph.num_rels();
-  // FNV-1a over every per-label cardinality (symbols are dense), so any
-  // label-count shift — the input to anchor selection and chain reversal —
-  // changes the stamp even when the totals happen to cancel out.
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t label = 0; label < stamp.num_label_symbols; ++label) {
-    h ^= static_cast<uint64_t>(graph.LabelCount(static_cast<Symbol>(label)));
-    h *= 1099511628211ULL;
-  }
-  stamp.label_counts_hash = h;
-  return stamp;
-}
-
-namespace {
-
-/// True when ExecProjection's compiled pipeline (items -> DISTINCT ->
-/// WHERE -> SKIP/LIMIT) fully covers this body. Shapes that would error at
-/// runtime (`RETURN` with zero items, duplicate aliases) are rejected too:
-/// the kClause fallback raises the interpreter's exact diagnostics.
-bool CanCompileProjection(const ProjectionBody& body, const Expr* where) {
-  (void)where;  // WHERE is modeled; listed for symmetry with the rules doc
-  if (body.include_existing) return false;  // `*` expands per input table
-  if (body.items.empty()) return false;
-  if (!body.order_by.empty()) return false;  // sort keys re-enter bindings
-  std::unordered_set<std::string> seen;
-  for (const ReturnItem& item : body.items) {
-    if (!seen.insert(item.alias).second) return false;
-    if (ContainsAggregate(*item.expr)) return false;  // implicit grouping
-  }
-  return true;
-}
-
-std::unique_ptr<ProjectStepData> CompileProjection(const ProjectionBody& body,
-                                                   const Expr* where) {
-  auto data = std::make_unique<ProjectStepData>();
-  data->body = &body;
-  data->where = where;
-  data->aliases.reserve(body.items.size());
-  data->items.reserve(body.items.size());
-  for (const ReturnItem& item : body.items) {
-    data->aliases.push_back(item.alias);
-    data->items.push_back(ExprProgram::Compile(*item.expr));
-  }
-  if (where != nullptr) data->where_program = ExprProgram::Compile(*where);
-  return data;
-}
-
-Step CompileClause(const Clause& clause) {
-  Step step;
-  step.clause = &clause;
-  switch (clause.kind) {
-    case ClauseKind::kMatch: {
-      step.kind = StepKind::kMatch;
-      step.match = std::make_unique<MatchStepData>();
-      step.match->clause = &static_cast<const MatchClause&>(clause);
-      return step;
-    }
-    case ClauseKind::kWith: {
-      const auto& c = static_cast<const WithClause&>(clause);
-      if (CanCompileProjection(c.body, c.where.get())) {
-        step.kind = StepKind::kProject;
-        step.project = CompileProjection(c.body, c.where.get());
-      }
-      return step;
-    }
-    case ClauseKind::kReturn: {
-      const auto& c = static_cast<const ReturnClause&>(clause);
-      if (CanCompileProjection(c.body, nullptr)) {
-        step.kind = StepKind::kProject;
-        step.project = CompileProjection(c.body, nullptr);
-      }
-      return step;
-    }
-    default:
-      return step;  // kClause: interpreter delegation
-  }
-}
-
-}  // namespace
-
-std::unique_ptr<Program> CompileStatement(const Query& query) {
-  auto program = std::make_unique<Program>();
-  program->parts.reserve(query.parts.size());
+MatchSlots CompileStatement(const Query& query) {
+  MatchSlots table;
   for (const SingleQuery& part : query.parts) {
-    Program::Part lowered;
-    lowered.steps.reserve(part.clauses.size());
     for (const ClausePtr& clause : part.clauses) {
-      lowered.steps.push_back(CompileClause(*clause));
+      if (clause->kind != ClauseKind::kMatch) continue;
+      auto slot = std::make_unique<MatchSlot>();
+      slot->clause = &static_cast<const MatchClause&>(*clause);
+      table.slots.push_back(std::move(slot));
     }
-    program->parts.push_back(std::move(lowered));
   }
-  return program;
+  return table;
 }
 
 }  // namespace cypher

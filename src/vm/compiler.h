@@ -1,28 +1,18 @@
 #ifndef CYPHER_VM_COMPILER_H_
 #define CYPHER_VM_COMPILER_H_
 
-#include <memory>
-
 #include "ast/query.h"
-#include "vm/program.h"
+#include "exec/match_slots.h"
 
 namespace cypher {
 
-/// Lowers a checked statement into a Program for the dispatch-loop VM.
-/// Never fails: every clause lowers to *something* — a bytecode projection
-/// step, a cached-plan match step, or an interpreter-delegation step — so
-/// the statement always runs, and runs identically to the interpreter.
-/// The Query must outlive the Program (CachedPlan keeps them together).
-///
-/// Per-clause lowering rules (the interpreter-fallback rule of DESIGN.md):
-///  * MATCH / OPTIONAL MATCH -> kMatch: pattern enumeration through a
-///    stamped, shareable match-plan slot.
-///  * WITH / RETURN -> kProject when the pipeline is fully modeled: no `*`,
-///    at least one item, unique aliases, no aggregates anywhere, no
-///    ORDER BY. DISTINCT, WHERE, SKIP and LIMIT are modeled.
-///  * Everything else (updates, UNWIND, FOREACH, CALL, DDL, aggregating or
-///    sorting projections) -> kClause, the reference executor.
-std::unique_ptr<Program> CompileStatement(const Query& query);
+/// Builds the slot table of a statement entering the plan cache: one empty
+/// stamped slot per top-level MATCH / OPTIONAL MATCH clause of every UNION
+/// branch. ExecMatch fills a slot on first use and reuses it while the
+/// graph's PlanStamp holds. MATCH clauses nested in CALL {...} get no slot
+/// and compile fresh on every execution. The Query must outlive the slots
+/// (CachedPlan keeps them together).
+MatchSlots CompileStatement(const Query& query);
 
 }  // namespace cypher
 

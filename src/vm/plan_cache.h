@@ -12,10 +12,22 @@
 #include <utility>
 #include <vector>
 
+#include "ast/query.h"
+#include "exec/match_slots.h"
 #include "value/value.h"
-#include "vm/program.h"
 
 namespace cypher {
+
+/// A plan-cache entry: the auto-parametrized AST plus the stamped match
+/// slots of its top-level MATCH clauses; the interpreter runs the AST. The
+/// Query owns every clause the slots point at — clause nodes are
+/// heap-allocated behind ClausePtr, so the pointers stay stable for the
+/// life of the entry.
+struct CachedPlan {
+  Query ast;
+  MatchSlots match_slots;
+  size_t num_params = 0;  // auto-extracted literal slots ($#0 .. $#N-1)
+};
 
 /// One session's view of cache effectiveness. The PlanCacheStats counters
 /// below are process-global (every session shares one cache); each session

@@ -255,7 +255,7 @@ INSTANTIATE_TEST_SUITE_P(
                  {"0 | 'CREATE' | 'CREATE (:Never)'",
                   "1 | 'SEMANTICS' | 'revised (Sections 7-8), atomic "
                   "updates'",
-                  "2 | 'TIER' | 'vm; plan cache: miss'"}},
+                  "2 | 'TIER' | 'interpreter; plan cache: miss'"}},
         Scenario{"profile_cardinalities", kMovies,
                  "PROFILE MATCH (p:Person) RETURN p.name AS n",
                  {"0 | 'MATCH (p:Person)' | 3",

@@ -1,9 +1,11 @@
-// Plan cache + bytecode VM tests: counter accounting, literal replay
-// (no value baking), option-fingerprint keying, stamp/graph invalidation,
-// interpreter parity on errors, and LRU eviction at the unit level.
+// Plan cache tests: counter accounting, literal replay (no value baking),
+// option-fingerprint keying, stamp/graph invalidation, parity with the
+// uncached interpreter on errors and across the match-slot regimes, and
+// LRU eviction at the unit level.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -16,6 +18,18 @@ namespace {
 using ::cypher::testing::RunErr;
 using ::cypher::testing::RunOk;
 using ::cypher::testing::Scalar;
+
+/// Result text for byte comparison: columns, rows in order, stats.
+std::string ResultText(const Result<QueryResult>& result) {
+  if (!result.ok()) return "ERROR: " + result.status().ToString();
+  std::string out;
+  for (const std::string& column : result->columns) out += column + '\t';
+  for (const std::vector<Value>& row : result->rows) {
+    out += '\n';
+    for (const Value& cell : row) out += cell.ToString() + '\t';
+  }
+  return out + "\nstats: " + result->stats.ToString();
+}
 
 TEST(PlanCacheTest, CountersTrackRawAndShapeHits) {
   GraphDatabase db;
@@ -118,7 +132,7 @@ TEST(PlanCacheTest, GraphSwapClearsCache) {
   EXPECT_EQ(Scalar(RunOk(&db, "MATCH (n:N) RETURN n.v AS v")).AsInt(), 1);
 }
 
-TEST(PlanCacheTest, DisabledCacheBypassesVm) {
+TEST(PlanCacheTest, DisabledCacheSkipsLookups) {
   GraphDatabase db;
   db.options().use_plan_cache = false;
   ASSERT_TRUE(db.Run("CREATE (:N {v: 1})").ok());
@@ -129,22 +143,91 @@ TEST(PlanCacheTest, DisabledCacheBypassesVm) {
 }
 
 TEST(PlanCacheTest, ErrorsAndRollbackMatchInterpreter) {
-  // A failing statement must report the interpreter's exact error and leave
-  // the graph untouched on both tiers.
+  // A failing statement must report the uncached run's exact error and
+  // leave the graph untouched either way.
   const std::string failing = "CREATE (:T) WITH 1 AS one RETURN 1 / 0";
-  GraphDatabase vm_db;
+  GraphDatabase cached_db;
   GraphDatabase interp_db;
   interp_db.options().use_plan_cache = false;
-  Status vm_err = RunErr(&vm_db, failing);
+  Status cached_err = RunErr(&cached_db, failing);
   Status interp_err = RunErr(&interp_db, failing);
-  EXPECT_EQ(vm_err.ToString(), interp_err.ToString());
-  EXPECT_EQ(vm_db.graph().num_nodes(), 0u);
+  EXPECT_EQ(cached_err.ToString(), interp_err.ToString());
+  EXPECT_EQ(cached_db.graph().num_nodes(), 0u);
   EXPECT_EQ(interp_db.graph().num_nodes(), 0u);
 
   // Missing-parameter diagnostics agree too.
-  Status vm_missing = RunErr(&vm_db, "RETURN $nope AS x");
+  Status cached_missing = RunErr(&cached_db, "RETURN $nope AS x");
   Status interp_missing = RunErr(&interp_db, "RETURN $nope AS x");
-  EXPECT_EQ(vm_missing.ToString(), interp_missing.ToString());
+  EXPECT_EQ(cached_missing.ToString(), interp_missing.ToString());
+}
+
+// One cached shape whose MATCH sees driving tables on both sides of
+// kTransientIndexMinRows: 0 rows returns early, 1 and 3 rows reuse the
+// stamped slot, 4 and 8 rows compile fresh, and the final 1 reuses the slot
+// again after the fresh compiles.
+constexpr char kRegimeProbe[] =
+    "UNWIND $ids AS id MATCH (u:U {id: id}) RETURN u.v AS v ORDER BY v";
+constexpr int kRegimeSizes[] = {0, 1, 3, 4, 8, 1};
+
+ValueMap RegimeIds(int n) {
+  ValueList ids;
+  for (int i = 0; i < n; ++i) ids.push_back(Value::Int((i * 7) % 10));
+  return {{"ids", Value::List(std::move(ids))}};
+}
+
+/// Runs kRegimeProbe over kRegimeSizes via `execute`, each size once with
+/// the plan cache off and once on. The runs must byte-match, and every
+/// cached run after the first must hit (`counters` is the executing
+/// session's tally).
+template <typename Execute>
+void CheckSlotRegimes(GraphDatabase* db, const SessionCacheCounters& counters,
+                      Execute execute) {
+  for (size_t i = 0; i < std::size(kRegimeSizes); ++i) {
+    SCOPED_TRACE("ids of length " + std::to_string(kRegimeSizes[i]));
+    ValueMap params = RegimeIds(kRegimeSizes[i]);
+    db->options().use_plan_cache = false;
+    Result<QueryResult> interpreted = execute(params);
+    ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+    EXPECT_EQ(interpreted->num_rows(), static_cast<size_t>(kRegimeSizes[i]));
+    db->options().use_plan_cache = true;
+    SessionCacheCounters before = counters;
+    EXPECT_EQ(ResultText(execute(params)), ResultText(interpreted));
+    if (i > 0) {
+      EXPECT_EQ(counters.hits, before.hits + 1);
+      EXPECT_EQ(counters.misses, before.misses);
+    }
+  }
+}
+
+TEST(PlanCacheTest, MatchSlotRegimesMatchInterpreter) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.Run("UNWIND range(0, 9) AS i CREATE (:U {id: i, v: i * 10})")
+                  .ok());
+  CheckSlotRegimes(&db, db.session_cache_counters(), [&](const ValueMap& p) {
+    return db.Execute(kRegimeProbe, p);
+  });
+}
+
+TEST(PlanCacheTest, MatchSlotRegimesMatchInterpreterOnReadSession) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  ASSERT_TRUE(db.Run("UNWIND range(0, 9) AS i CREATE (:U {id: i, v: i * 10})")
+                  .ok());
+  auto session = db.BeginReadSession();
+  ASSERT_TRUE(session.ok());
+  auto execute = [&](const ValueMap& p) {
+    return session->Execute(kRegimeProbe, p);
+  };
+  CheckSlotRegimes(&db, session->cache_counters(), execute);
+  // New values reverse the ORDER BY and a new :U node shifts the label
+  // counts; the refreshed pin must see both.
+  ASSERT_TRUE(db.Run("MATCH (u:U) SET u.v = 100 - u.v").ok());
+  ASSERT_TRUE(db.Run("CREATE (:U {id: 42, v: 0})").ok());
+  session->Refresh();
+  CheckSlotRegimes(&db, session->cache_counters(), execute);
+  EXPECT_EQ(Scalar(*session->Execute("MATCH (u:U {id: 0}) RETURN u.v AS v"))
+                .AsInt(),
+            100);
 }
 
 TEST(PlanCacheTest, AutoParametrizationCannotCollideWithUserParams) {
