@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -147,18 +146,6 @@ Tri EvalIn(const Value& item, const Value& list) {
   }
   return acc;
 }
-
-// ---- Hash-set of values under grouping equivalence (DISTINCT aggregates) ----
-
-struct ValueHash {
-  uint64_t operator()(const Value& v) const { return HashValue(v); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return GroupEquals(a, b);
-  }
-};
-using ValueSet = std::unordered_set<Value, ValueHash, ValueEq>;
 
 // ---- Value kernels ----------------------------------------------------------
 //
@@ -563,6 +550,42 @@ Result<Value> EvalUnaryValue(UnaryOp op, const Value& v) {
   return Value::Null();
 }
 
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kGt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The comparison operators under ternary logic (IsComparison(op)).
+Tri CompareTri(BinaryOp op, const Value& a, const Value& b) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return CypherEquals(a, b);
+    case BinaryOp::kNe:
+      return TriNot(CypherEquals(a, b));
+    case BinaryOp::kLt:
+      return CypherLess(a, b);
+    case BinaryOp::kGt:
+      return CypherLess(b, a);
+    case BinaryOp::kLe:
+      return TriOr(CypherLess(a, b), CypherEquals(a, b));
+    case BinaryOp::kGe:
+      return TriOr(CypherLess(b, a), CypherEquals(a, b));
+    default:
+      break;
+  }
+  CYPHER_CHECK(false && "not a comparison operator");
+  return Tri::kNull;
+}
+
 /// The kBinary rule on two evaluated operands (both sides are always
 /// evaluated first — ternary logic needs them).
 Result<Value> EvalBinaryValues(BinaryOp op, const Value& a, const Value& b) {
@@ -596,17 +619,12 @@ Result<Value> EvalBinaryValues(BinaryOp op, const Value& a, const Value& b) {
     case BinaryOp::kPow:
       return EvalArith(op, a, b);
     case BinaryOp::kEq:
-      return TriToValue(CypherEquals(a, b));
     case BinaryOp::kNe:
-      return TriToValue(TriNot(CypherEquals(a, b)));
     case BinaryOp::kLt:
-      return TriToValue(CypherLess(a, b));
     case BinaryOp::kGt:
-      return TriToValue(CypherLess(b, a));
     case BinaryOp::kLe:
-      return TriToValue(TriOr(CypherLess(a, b), CypherEquals(a, b)));
     case BinaryOp::kGe:
-      return TriToValue(TriOr(CypherLess(b, a), CypherEquals(a, b)));
+      return TriToValue(CompareTri(op, a, b));
     case BinaryOp::kIn: {
       if (!b.is_null() && !b.is_list()) {
         return TypeError("IN expects a list on the right-hand side");
@@ -731,6 +749,130 @@ Result<Value> RowEval::Eval(size_t row) const {
     // Maps and type errors: the generic property rules apply below.
   }
   return Evaluate(*ctx_, Bindings(table_, row), *expr_);
+}
+
+// ---- Match-assignment fast path ---------------------------------------------
+
+std::optional<MatchOperand> MatchOperand::Resolve(const EvalContext& ctx,
+                                                  const Table& table,
+                                                  const Expr& expr) {
+  MatchOperand out;
+  out.graph_ = ctx.graph;
+  out.table_ = &table;
+  const Expr* base = &expr;
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      out.constant_ = static_cast<const LiteralExpr&>(expr).value;
+      return out;
+    case ExprKind::kParameter: {
+      if (ctx.params == nullptr) return std::nullopt;
+      auto it = ctx.params->find(static_cast<const ParameterExpr&>(expr).name);
+      if (it == ctx.params->end()) return std::nullopt;
+      out.constant_ = it->second;
+      return out;
+    }
+    case ExprKind::kVariable:
+      out.mode_ = Mode::kVariable;
+      break;
+    case ExprKind::kProperty: {
+      const auto& prop = static_cast<const PropertyExpr&>(expr);
+      base = prop.object.get();
+      out.mode_ = Mode::kProperty;
+      out.key_ = ctx.graph->FindKey(prop.key);
+      break;
+    }
+    default:
+      return std::nullopt;
+  }
+  if (base->kind != ExprKind::kVariable) return std::nullopt;
+  out.name_ = &static_cast<const VariableExpr*>(base)->name;
+  out.col_ = table.ColumnIndex(*out.name_);
+  return out;
+}
+
+const Value* MatchOperand::Eval(size_t row,
+                                const MatchAssignment& assignment) const {
+  static const Value kNull;
+  if (mode_ == Mode::kConstant) return &constant_;
+  const Value* base = assignment.Find(*name_);
+  if (base == nullptr) {
+    if (col_ == Table::kNoColumn) return nullptr;
+    base = &table_->At(row, col_);
+  }
+  if (mode_ == Mode::kVariable || base->is_null()) return base;
+  if (base->is_node()) {
+    if (key_ == kNoSymbol) return &kNull;
+    return &graph_->node(base->AsNode()).props.Get(key_);
+  }
+  if (base->is_rel()) {
+    if (key_ == kNoSymbol) return &kNull;
+    return &graph_->rel(base->AsRel()).props.Get(key_);
+  }
+  return nullptr;  // maps and type errors: the generic property rules
+}
+
+namespace {
+
+/// Appends the leaves of an AND tree to `out`.
+void Conjuncts(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind == ExprKind::kBinary) {
+    const auto& bin = static_cast<const BinaryExpr&>(expr);
+    if (bin.op == BinaryOp::kAnd) {
+      Conjuncts(*bin.left, out);
+      Conjuncts(*bin.right, out);
+      return;
+    }
+  }
+  out->push_back(&expr);
+}
+
+}  // namespace
+
+WhereEval::WhereEval(const EvalContext& ctx, const Table& table,
+                     const Expr* where)
+    : ctx_(&ctx), table_(&table), where_(where) {
+  if (where == nullptr) return;
+  std::vector<const Expr*> leaves;
+  Conjuncts(*where, &leaves);
+  for (const Expr* leaf : leaves) {
+    if (leaf->kind != ExprKind::kBinary) return;
+    const auto& cmp = static_cast<const BinaryExpr&>(*leaf);
+    if (!IsComparison(cmp.op)) return;
+    std::optional<MatchOperand> left =
+        MatchOperand::Resolve(ctx, table, *cmp.left);
+    std::optional<MatchOperand> right =
+        MatchOperand::Resolve(ctx, table, *cmp.right);
+    if (!left.has_value() || !right.has_value()) return;
+    conjuncts_.push_back({cmp.op, *std::move(left), *std::move(right)});
+  }
+  resolved_ = true;
+}
+
+Result<Tri> WhereEval::Eval(size_t row,
+                            const MatchAssignment& assignment) const {
+  if (where_ == nullptr) return Tri::kTrue;
+  if (resolved_) {
+    // Comparisons never fail on resolved operands and AND is associative
+    // under ternary logic, so folding the leaves left to right is the tree
+    // evaluator's result.
+    Tri acc = Tri::kTrue;
+    bool generic = false;
+    for (const Comparison& cmp : conjuncts_) {
+      const Value* left = cmp.left.Eval(row, assignment);
+      const Value* right = cmp.right.Eval(row, assignment);
+      if (left == nullptr || right == nullptr) {
+        generic = true;
+        break;
+      }
+      acc = TriAnd(acc, CompareTri(cmp.op, *left, *right));
+    }
+    if (!generic) return acc;
+  }
+  Bindings bindings(table_, row);
+  for (const auto& [name, value] : assignment.entries()) {
+    bindings.Push(name, value);
+  }
+  return EvaluatePredicate(*ctx_, bindings, *where_);
 }
 
 // ---- Aggregates -------------------------------------------------------------

@@ -1,11 +1,14 @@
 #ifndef CYPHER_EVAL_EVALUATOR_H_
 #define CYPHER_EVAL_EVALUATOR_H_
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ast/expr.h"
 #include "common/result.h"
 #include "eval/env.h"
+#include "match/matcher.h"
 #include "value/compare.h"
 
 namespace cypher {
@@ -48,6 +51,64 @@ class RowEval {
   Mode mode_ = Mode::kGeneric;
   size_t col_ = 0;
   Symbol key_ = kNoSymbol;  // kColumnProp; kNoSymbol when never interned
+};
+
+/// A literal, a parameter, a variable `v` or a property `v.key`, resolved
+/// once per clause for evaluation over one match: the assignment a MATCH
+/// adds on top of a driving record. Variables read the assignment first —
+/// its bindings shadow the record, as Bindings::Push does — then the
+/// record's column. Same thread-compatibility as RowEval.
+class MatchOperand {
+ public:
+  /// Resolves `expr` against `table`'s columns; nullopt when `expr` has
+  /// another shape or names a parameter the statement lacks (the generic
+  /// evaluator raises that error).
+  static std::optional<MatchOperand> Resolve(const EvalContext& ctx,
+                                             const Table& table,
+                                             const Expr& expr);
+
+  /// The operand's value for record `row` extended by `assignment`; null
+  /// when the generic evaluator must decide: an unbound variable, or `v.key`
+  /// on something other than null, a node or a relationship.
+  const Value* Eval(size_t row, const MatchAssignment& assignment) const;
+
+ private:
+  enum class Mode { kConstant, kVariable, kProperty };
+  const PropertyGraph* graph_ = nullptr;
+  const Table* table_ = nullptr;
+  Mode mode_ = Mode::kConstant;
+  Value constant_;
+  const std::string* name_ = nullptr;  // kVariable / kProperty
+  size_t col_ = Table::kNoColumn;      // the record column, if any
+  Symbol key_ = kNoSymbol;             // kProperty; kNoSymbol when never
+                                       //   interned
+};
+
+/// A MATCH clause's WHERE, resolved once per clause against the driving
+/// table: a conjunction of comparisons (=, <>, <, <=, >, >=) over
+/// MatchOperands reads each match directly; any other predicate — or an
+/// operand that needs the generic rules at runtime — is evaluated on the
+/// record overlaid with the assignment, so results and errors are those of
+/// EvaluatePredicate either way. Same thread-compatibility as RowEval.
+class WhereEval {
+ public:
+  /// `where` may be null (every match passes).
+  WhereEval(const EvalContext& ctx, const Table& table, const Expr* where);
+
+  /// [[where]] for record `row` of the table extended by `assignment`.
+  Result<Tri> Eval(size_t row, const MatchAssignment& assignment) const;
+
+ private:
+  struct Comparison {
+    BinaryOp op;
+    MatchOperand left;
+    MatchOperand right;
+  };
+  const EvalContext* ctx_;
+  const Table* table_;
+  const Expr* where_;
+  bool resolved_ = false;
+  std::vector<Comparison> conjuncts_;  // when resolved_
 };
 
 /// Evaluates [[e]]_{G,u}: expression `expr` on graph `ctx.graph` under the

@@ -122,22 +122,40 @@ Status RunSingleQuery(ExecContext* ctx, const SingleQuery& part, Table* table,
                       bool* has_return, std::vector<ProfileRow>* profile) {
   *has_return = false;
   *table = Table::Unit();
-  for (const ClausePtr& clause : part.clauses) {
-    // Watchdog poll at clause granularity; the matcher and the parallel
-    // loops poll the same token at finer grain during long enumerations.
-    CYPHER_RETURN_NOT_OK(ctx->options.cancel.Check());
-    CYPHER_RETURN_NOT_OK(ExecClause(ctx, *clause, table));
-    if (ctx->options.max_rows != 0 &&
-        table->num_rows() > ctx->options.max_rows) {
+  // What follows every clause: the row budget, then PROFILE's cardinality.
+  auto after = [&](const Clause& clause, size_t rows) -> Status {
+    if (ctx->options.max_rows != 0 && rows > ctx->options.max_rows) {
       return Status::ExecutionError(
           "driving table exceeded the configured row limit (" +
           std::to_string(ctx->options.max_rows) + " records) after " +
-          ClauseDisplayName(*clause));
+          ClauseDisplayName(clause));
     }
-    if (clause->kind == ClauseKind::kReturn) *has_return = true;
-    if (profile != nullptr) {
-      profile->push_back({ToCypher(*clause), table->num_rows()});
+    if (clause.kind == ClauseKind::kReturn) *has_return = true;
+    if (profile != nullptr) profile->push_back({ToCypher(clause), rows});
+    return Status::OK();
+  };
+  for (size_t i = 0; i < part.clauses.size(); ++i) {
+    const Clause& clause = *part.clauses[i];
+    // Watchdog poll at clause granularity; the matcher and the parallel
+    // loops poll the same token at finer grain during long enumerations.
+    CYPHER_RETURN_NOT_OK(ctx->options.cancel.Check());
+    // A leading MATCH whose projection only groups and aggregates its
+    // matches runs as one pass that never builds the joined table; when
+    // the pass declines, the pair runs clause by clause below.
+    if (i == 0 && StreamsIntoProjection(part)) {
+      CYPHER_ASSIGN_OR_RETURN(
+          bool streamed,
+          ExecStreamedAggregate(
+              ctx, part,
+              [&](size_t matches) { return after(clause, matches); }, table));
+      if (streamed) {
+        CYPHER_RETURN_NOT_OK(after(*part.clauses[1], table->num_rows()));
+        ++i;
+        continue;
+      }
     }
+    CYPHER_RETURN_NOT_OK(ExecClause(ctx, clause, table));
+    CYPHER_RETURN_NOT_OK(after(clause, table->num_rows()));
   }
   if (!*has_return) *table = Table();
   return Status::OK();
@@ -176,7 +194,10 @@ QueryResult BuildExplainPlan(const PropertyGraph& graph, const Query& query,
           const auto& match = static_cast<const MatchClause&>(*clause);
           CompiledMatch compiled =
               CompileMatchForExplain(ec, bound, match.patterns);
-          details += "  [" + DescribeMatchPlan(graph, compiled) + "]";
+          bool streamed = clause == query.parts[p].clauses.front() &&
+                          StreamsIntoProjection(query.parts[p]);
+          details += "  [" + DescribeMatchPlan(graph, compiled) +
+                     (streamed ? ", aggregate: streamed" : "") + "]";
           std::string par = DescribeParallelMatch(options, compiled);
           if (!par.empty()) details += "  [" + par + "]";
           bind_patterns(match.patterns);

@@ -381,43 +381,20 @@ Status ExecMergeRevised(ExecContext* ctx, const MergeClause& clause,
 
   // ---- Phase A: match against the input graph --------------------------------
   // Revised MERGE matches every record against the same (input) graph, so
-  // one compile serves the whole phase — creations happen only in Phase D.
-  std::optional<CompiledMatch> compiled;
-  if (table->num_rows() > 0) {
-    compiled = CompileMatch(ec, Bindings(table, 0), clause.patterns,
-                            {.num_rows = table->num_rows()});
-  }
+  // one compile serves the whole phase — creations happen only in Phase D —
+  // and it fans out like any MATCH. `failed` comes back in ascending record
+  // order, exactly as Phases B-D require.
   std::vector<size_t> failed;
-  std::optional<ParallelPlan> par_plan;
-  if (compiled.has_value()) {
-    par_plan =
-        PlanParallelMatch(ctx->options, *ec.graph, *compiled, table->num_rows());
-  }
-  if (par_plan.has_value()) {
-    // The match phase reads only the input graph (creations happen in
-    // Phase D), so it fans out like any MATCH; `failed` comes back in
-    // ascending record order, exactly as Phases B-D require.
-    CYPHER_RETURN_NOT_OK(ParallelMatchRows(
-        ec, ctx->Match(), *par_plan, *table, *compiled, /*where=*/nullptr,
-        new_vars, /*optional_match=*/false, &failed, &out));
-  }
-  for (size_t r = 0; !par_plan.has_value() && r < table->num_rows(); ++r) {
-    Bindings bindings(table, r);
-    bool any = false;
-    CYPHER_RETURN_NOT_OK(MatchCompiled(
-        ec, bindings, *compiled, ctx->Match(),
-        [&](const MatchAssignment& assignment) -> Result<bool> {
-          std::vector<Value> row = table->row(r);
-          for (const std::string& var : new_vars) {
-            const Value* v = assignment.Find(var);
-            CYPHER_CHECK(v != nullptr);
-            row.push_back(*v);
-          }
-          out.AddRow(std::move(row));
-          any = true;
-          return true;
-        }));
-    if (!any) failed.push_back(r);
+  if (table->num_rows() > 0) {
+    CompiledMatch compiled = CompileMatch(ec, Bindings(table, 0),
+                                          clause.patterns,
+                                          {.num_rows = table->num_rows()});
+    std::optional<ParallelPlan> par_plan =
+        PlanParallelMatch(ctx->options, *ec.graph, compiled, table->num_rows());
+    CYPHER_RETURN_NOT_OK(MatchRows(
+        ec, ctx->Match(), par_plan.has_value() ? &*par_plan : nullptr, *table,
+        compiled, /*where=*/nullptr, new_vars, /*optional_match=*/false,
+        &failed, &out));
   }
 
   // ---- Phase B: plan virtual instances ---------------------------------------

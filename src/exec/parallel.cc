@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "eval/evaluator.h"
+#include "exec/aggregate.h"
 #include "value/compare.h"
 
 namespace cypher {
@@ -44,41 +45,32 @@ size_t RowChunk(const ParallelPlan& plan, size_t num_rows) {
   return std::max<size_t>(1, std::min(plan.morsel, balanced));
 }
 
+/// Anchor-domain tile `tile` of an anchor-mode plan.
+AnchorMorsel Tile(const ParallelPlan& plan, size_t tile) {
+  return {tile * plan.morsel, std::min(plan.domain, (tile + 1) * plan.morsel)};
+}
+
 // ---- Shared per-record match body ------------------------------------------
 
-/// Enumerates matches of `compiled` for driving record `r` (restricted to
-/// `morsel` when non-null) and appends the extended output rows, exactly as
-/// ExecMatch's sequential sink does. Returns whether any row was emitted
-/// (i.e. some match also passed `where`).
-Result<bool> MatchOneRecord(const EvalContext& ec, const MatchOptions& mopts,
-                            const CompiledMatch& compiled, const Table& input,
-                            size_t r, const Expr* where,
-                            const std::vector<std::string>& new_vars,
-                            const AnchorMorsel* morsel,
-                            std::vector<std::vector<Value>>* out) {
+/// The per-record MATCH body every executor shares: enumerates the matches
+/// of `compiled` for driving record `r` of `input` (restricted to `morsel`
+/// when non-null), keeps those `where` accepts, and hands each to
+/// `emit(assignment) -> Result<bool>` (false stops). Returns whether any
+/// match passed.
+template <typename Emit>
+Result<bool> ForEachPassingMatch(const EvalContext& ec,
+                                 const MatchOptions& mopts,
+                                 const CompiledMatch& compiled,
+                                 const Table& input, size_t r,
+                                 const WhereEval& where,
+                                 const AnchorMorsel* morsel, const Emit& emit) {
   Bindings bindings(&input, r);
   bool any = false;
   MatchSink sink = [&](const MatchAssignment& assignment) -> Result<bool> {
-    if (where != nullptr) {
-      Bindings wb = bindings;
-      for (const auto& [name, value] : assignment.entries()) {
-        wb.Push(name, value);
-      }
-      CYPHER_ASSIGN_OR_RETURN(Tri pass, EvaluatePredicate(ec, wb, *where));
-      if (pass != Tri::kTrue) return true;  // keep enumerating
-    }
-    const std::vector<Value>& base = input.row(r);
-    std::vector<Value> row;
-    row.reserve(base.size() + new_vars.size());
-    row.insert(row.end(), base.begin(), base.end());
-    for (const std::string& var : new_vars) {
-      const Value* v = assignment.Find(var);
-      CYPHER_CHECK(v != nullptr && "pattern variable not assigned");
-      row.push_back(*v);
-    }
-    out->push_back(std::move(row));
+    CYPHER_ASSIGN_OR_RETURN(Tri pass, where.Eval(r, assignment));
+    if (pass != Tri::kTrue) return true;  // keep enumerating
     any = true;
-    return true;
+    return emit(assignment);
   };
   Status st = morsel != nullptr
                   ? MatchCompiledMorsel(ec, bindings, compiled, mopts, *morsel,
@@ -86,6 +78,50 @@ Result<bool> MatchOneRecord(const EvalContext& ec, const MatchOptions& mopts,
                   : MatchCompiled(ec, bindings, compiled, mopts, sink);
   CYPHER_RETURN_NOT_OK(st);
   return any;
+}
+
+void Append(std::vector<Value> row, Table* out) { out->AddRow(std::move(row)); }
+void Append(std::vector<Value> row, std::vector<std::vector<Value>>* out) {
+  out->push_back(std::move(row));
+}
+
+/// Appends record `r`'s output rows — the input row extended by the
+/// `new_vars` values of each passing match — to `out` (a Table or a task's
+/// row buffer).
+template <typename Out>
+Result<bool> MatchOneRecord(const EvalContext& ec, const MatchOptions& mopts,
+                            const CompiledMatch& compiled, const Table& input,
+                            size_t r, const WhereEval& where,
+                            const std::vector<std::string>& new_vars,
+                            const AnchorMorsel* morsel, Out* out) {
+  return ForEachPassingMatch(
+      ec, mopts, compiled, input, r, where, morsel,
+      [&](const MatchAssignment& assignment) -> Result<bool> {
+        const std::vector<Value>& base = input.row(r);
+        std::vector<Value> row;
+        row.reserve(base.size() + new_vars.size());
+        row.insert(row.end(), base.begin(), base.end());
+        for (const std::string& var : new_vars) {
+          const Value* v = assignment.Find(var);
+          CYPHER_CHECK(v != nullptr && "pattern variable not assigned");
+          row.push_back(*v);
+        }
+        Append(std::move(row), out);
+        return true;
+      });
+}
+
+/// What a match-less record `r` leaves behind: OPTIONAL MATCH's
+/// null-extended row, and its index in the unmatched list (when kept).
+template <typename Out>
+void NoMatch(const Table& input, size_t r, size_t num_new_vars,
+             bool optional_match, Out* out, std::vector<size_t>* unmatched) {
+  if (optional_match) {
+    std::vector<Value> row = input.row(r);
+    row.resize(row.size() + num_new_vars);  // nulls
+    Append(std::move(row), out);
+  }
+  if (unmatched != nullptr) unmatched->push_back(r);
 }
 
 }  // namespace
@@ -156,50 +192,43 @@ std::string DescribeParallelMatch(const EvalOptions& options,
   return out + ")";
 }
 
-// ---- Parallel MATCH ---------------------------------------------------------
+// ---- MATCH record loop ------------------------------------------------------
 
-Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
-                         const ParallelPlan& plan, const Table& input,
-                         const CompiledMatch& compiled, const Expr* where,
-                         const std::vector<std::string>& new_vars,
-                         bool optional_match, std::vector<size_t>* unmatched,
-                         Table* out) {
+Status MatchRows(const EvalContext& ec, const MatchOptions& mopts,
+                 const ParallelPlan* plan, const Table& input,
+                 const CompiledMatch& compiled, const Expr* where_expr,
+                 const std::vector<std::string>& new_vars, bool optional_match,
+                 std::vector<size_t>* unmatched, Table* out) {
   const size_t num_rows = input.num_rows();
-  PropertyGraph::ParallelReadScope read_scope(*ec.graph);
+  const WhereEval where(ec, input, where_expr);
+  std::optional<PropertyGraph::ParallelReadScope> read_scope;
+  if (plan != nullptr) read_scope.emplace(*ec.graph);
 
-  if (plan.expand_mode) {
-    // Expand mode: the row loop runs sequentially and the matcher fans each
-    // var-length walk / BFS level out across the pool instead (a per-task
-    // trail-state arena merged in task-index order keeps emission order
-    // byte-identical), so the sink, OPTIONAL null extension, and unmatched
-    // bookkeeping are literally the sequential loop's.
-    MatchOptions expand_opts = mopts;
-    expand_opts.expand_workers = plan.workers;
-    std::vector<std::vector<Value>> rows;
+  if (plan == nullptr || plan->expand_mode) {
+    // The sequential loop. In expand mode the matcher fans each var-length
+    // walk / BFS level out across the pool instead (a per-task trail-state
+    // arena merged in task-index order keeps emission order byte-identical),
+    // so the sink, OPTIONAL null extension, and unmatched bookkeeping stay
+    // the sequential loop's.
+    MatchOptions loop_opts = mopts;
+    if (plan != nullptr) loop_opts.expand_workers = plan->workers;
     for (size_t r = 0; r < num_rows; ++r) {
-      rows.clear();
       CYPHER_ASSIGN_OR_RETURN(
-          bool any, MatchOneRecord(ec, expand_opts, compiled, input, r, where,
-                                   new_vars, nullptr, &rows));
-      for (std::vector<Value>& row : rows) out->AddRow(std::move(row));
+          bool any, MatchOneRecord(ec, loop_opts, compiled, input, r, where,
+                                   new_vars, nullptr, out));
       if (!any) {
-        if (optional_match) {
-          std::vector<Value> row = input.row(r);
-          row.resize(row.size() + new_vars.size());  // nulls
-          out->AddRow(std::move(row));
-        }
-        if (unmatched != nullptr) unmatched->push_back(r);
+        NoMatch(input, r, new_vars.size(), optional_match, out, unmatched);
       }
     }
     return Status::OK();
   }
 
-  if (!plan.anchor_mode) {
+  if (!plan->anchor_mode) {
     // Row mode: each task owns a contiguous row range and produces its
     // complete output chunk — including OPTIONAL null extensions and its
     // slice of the unmatched list — so the merge is pure concatenation in
     // task order.
-    size_t chunk = RowChunk(plan, num_rows);
+    size_t chunk = RowChunk(*plan, num_rows);
     size_t tasks = (num_rows + chunk - 1) / chunk;
     struct RowTaskResult {
       std::vector<std::vector<Value>> rows;
@@ -207,7 +236,7 @@ Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
     };
     std::vector<RowTaskResult> results(tasks);
     CYPHER_RETURN_NOT_OK(
-        RunOrdered(tasks, plan.workers, [&](size_t task) -> Status {
+        RunOrdered(tasks, plan->workers, [&](size_t task) -> Status {
           RowTaskResult& res = results[task];
           CancelGate gate(ec.cancel);
           size_t begin = task * chunk;
@@ -218,12 +247,8 @@ Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
                 bool any, MatchOneRecord(ec, mopts, compiled, input, r, where,
                                          new_vars, nullptr, &res.rows));
             if (!any) {
-              if (optional_match) {
-                std::vector<Value> row = input.row(r);
-                row.resize(row.size() + new_vars.size());  // nulls
-                res.rows.push_back(std::move(row));
-              }
-              if (unmatched != nullptr) res.unmatched.push_back(r);
+              NoMatch(input, r, new_vars.size(), optional_match, &res.rows,
+                      unmatched != nullptr ? &res.unmatched : nullptr);
             }
           }
           return Status::OK();
@@ -243,7 +268,7 @@ Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
   // sequential (row, ascending anchor position) enumeration exactly.
   // Whether a record matched at all is only known once every tile reports,
   // so OPTIONAL null rows and the unmatched list are decided at the merge.
-  size_t tiles = (plan.domain + plan.morsel - 1) / plan.morsel;
+  size_t tiles = AnchorTiles(plan);
   size_t tasks = num_rows * tiles;
   struct TileResult {
     std::vector<std::vector<Value>> rows;
@@ -251,13 +276,11 @@ Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
   };
   std::vector<TileResult> results(tasks);
   CYPHER_RETURN_NOT_OK(
-      RunOrdered(tasks, plan.workers, [&](size_t task) -> Status {
+      RunOrdered(tasks, plan->workers, [&](size_t task) -> Status {
         TileResult& res = results[task];
         CYPHER_RETURN_NOT_OK(CancelGate(ec.cancel).Check());
         size_t r = task / tiles;
-        size_t tile = task % tiles;
-        AnchorMorsel morsel{tile * plan.morsel,
-                            std::min(plan.domain, (tile + 1) * plan.morsel)};
+        AnchorMorsel morsel = Tile(*plan, task % tiles);
         CYPHER_ASSIGN_OR_RETURN(
             res.any, MatchOneRecord(ec, mopts, compiled, input, r, where,
                                     new_vars, &morsel, &res.rows));
@@ -271,15 +294,46 @@ Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
       for (std::vector<Value>& row : res.rows) out->AddRow(std::move(row));
     }
     if (!any) {
-      if (optional_match) {
-        std::vector<Value> row = input.row(r);
-        row.resize(row.size() + new_vars.size());  // nulls
-        out->AddRow(std::move(row));
-      }
-      if (unmatched != nullptr) unmatched->push_back(r);
+      NoMatch(input, r, new_vars.size(), optional_match, out, unmatched);
     }
   }
   return Status::OK();
+}
+
+size_t AnchorTiles(const ParallelPlan* plan) {
+  if (plan == nullptr || !plan->anchor_mode) return 1;
+  return (plan->domain + plan->morsel - 1) / plan->morsel;
+}
+
+Status StreamMatches(
+    const EvalContext& ec, const MatchOptions& mopts, const ParallelPlan* plan,
+    const Table& input, const CompiledMatch& compiled, const WhereEval& where,
+    const std::function<Result<bool>(size_t, const MatchAssignment&)>& emit) {
+  CYPHER_CHECK(input.num_rows() == 1);
+  std::optional<PropertyGraph::ParallelReadScope> read_scope;
+  if (plan != nullptr) read_scope.emplace(*ec.graph);
+  if (plan == nullptr || !plan->anchor_mode) {
+    // One record never takes row mode; expand mode fans out inside the walk.
+    MatchOptions loop_opts = mopts;
+    if (plan != nullptr && plan->expand_mode) {
+      loop_opts.expand_workers = plan->workers;
+    }
+    return ForEachPassingMatch(
+               ec, loop_opts, compiled, input, 0, where, nullptr,
+               [&](const MatchAssignment& a) { return emit(0, a); })
+        .status();
+  }
+  return RunOrdered(AnchorTiles(plan), plan->workers,
+                    [&](size_t tile) -> Status {
+                      CYPHER_RETURN_NOT_OK(CancelGate(ec.cancel).Check());
+                      AnchorMorsel morsel = Tile(*plan, tile);
+                      return ForEachPassingMatch(
+                                 ec, mopts, compiled, input, 0, where, &morsel,
+                                 [&](const MatchAssignment& a) {
+                                   return emit(tile, a);
+                                 })
+                          .status();
+                    });
 }
 
 // ---- Parallel projection ----------------------------------------------------
@@ -371,298 +425,6 @@ Result<bool> TryParallelProject(const EvalContext& ec,
 
 // ---- Parallel partial aggregation ------------------------------------------
 
-namespace {
-
-// Hash-set of values under grouping equivalence, as the sequential DISTINCT
-// aggregate uses (evaluator.cc keeps its own private copy of this adapter).
-struct ValueHash {
-  uint64_t operator()(const Value& v) const { return HashValue(v); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return GroupEquals(a, b);
-  }
-};
-using ValueSet = std::unordered_set<Value, ValueHash, ValueEq>;
-
-/// Aggregates with a partial/merge decomposition. Anything else — avg()
-/// (a float sum), aggregates nested inside larger expressions, unknown
-/// names — carries kGeneric and is finalized by re-running the sequential
-/// evaluator over the group's merged row list.
-enum class AggOp { kGeneric, kCountStar, kCount, kSum, kMin, kMax, kCollect };
-
-struct AggSpec {
-  AggOp op = AggOp::kGeneric;
-  bool distinct = false;
-  const Expr* arg = nullptr;  // null for kCountStar / kGeneric
-};
-
-AggSpec ClassifyAggregate(const Expr& expr) {
-  if (expr.kind == ExprKind::kCountStar) {
-    return {AggOp::kCountStar, false, nullptr};
-  }
-  if (expr.kind != ExprKind::kFunction) return {};
-  const auto& call = static_cast<const FunctionExpr&>(expr);
-  if (!IsAggregateFunctionName(call.name) || call.args.size() != 1) return {};
-  AggOp op;
-  if (call.name == "count") {
-    op = AggOp::kCount;
-  } else if (call.name == "sum") {
-    op = AggOp::kSum;
-  } else if (call.name == "min") {
-    op = AggOp::kMin;
-  } else if (call.name == "max") {
-    op = AggOp::kMax;
-  } else if (call.name == "collect") {
-    op = AggOp::kCollect;
-  } else {
-    return {};
-  }
-  return {op, call.distinct, call.args[0].get()};
-}
-
-/// Exact running stats of an integer-sum prefix sequence, wide enough that
-/// the partials themselves cannot overflow. The sequential loop errors at
-/// the first prefix outside int64 (stepwise __builtin_add_overflow), so two
-/// segments merge by composing prefix extrema under the left segment's
-/// offset: overflow happened iff some row-granular prefix of the merged
-/// sequence escapes int64 — even when later rows bring the total back in
-/// range. The empty prefix (0) is included; it is always in range, so it
-/// never manufactures an error.
-struct SumStats {
-  __int128 sum = 0;
-  __int128 max_prefix = 0;
-  __int128 min_prefix = 0;
-
-  void Add(int64_t v) {
-    sum += v;
-    if (sum > max_prefix) max_prefix = sum;
-    if (sum < min_prefix) min_prefix = sum;
-  }
-  void Merge(const SumStats& next) {
-    max_prefix = std::max(max_prefix, sum + next.max_prefix);
-    min_prefix = std::min(min_prefix, sum + next.min_prefix);
-    sum += next.sum;
-  }
-  bool Overflowed() const {
-    return max_prefix >
-               static_cast<__int128>(std::numeric_limits<int64_t>::max()) ||
-           min_prefix <
-               static_cast<__int128>(std::numeric_limits<int64_t>::min());
-  }
-};
-
-/// Partial state of one (group, item) pair within one task's morsel run,
-/// merged across tasks in morsel order.
-struct Partial {
-  int64_t count = 0;          // kCountStar / kCount
-  SumStats sum;               // kSum (integers only)
-  Value best;                 // kMin / kMax
-  bool has_best = false;
-  std::vector<Value> values;  // kCollect, and every DISTINCT variant
-                              //   (first-occurrence order within the morsel)
-  ValueSet seen;              // DISTINCT: local dedup
-  /// The fast path met something it cannot decompose exactly — an argument
-  /// evaluation error, or a float / non-number in sum() (whose stepwise
-  /// int-overflow check is order-entangled with the float path). Finalize
-  /// re-runs the sequential evaluator for this group, reproducing its value
-  /// or its error verbatim.
-  bool fallback = false;
-};
-
-Status UpdatePartial(const AggSpec& spec, const RowEval* arg, size_t r,
-                     Partial* p) {
-  if (spec.op == AggOp::kCountStar) {
-    ++p->count;
-    return Status::OK();
-  }
-  if (spec.op == AggOp::kGeneric || p->fallback) return Status::OK();
-  Result<Value> rv = arg->Eval(r);
-  if (!rv.ok()) {
-    // Not a task error: the sequential executor only hits this once group
-    // finalization reaches this (group, item) — the generic fallback will
-    // re-raise it at exactly that point.
-    p->fallback = true;
-    return Status::OK();
-  }
-  Value v = std::move(rv).value();
-  if (v.is_null()) return Status::OK();  // every aggregate skips nulls
-  if (spec.distinct) {
-    if (p->seen.insert(v).second) p->values.push_back(std::move(v));
-    return Status::OK();
-  }
-  switch (spec.op) {
-    case AggOp::kCount:
-      ++p->count;
-      break;
-    case AggOp::kCollect:
-      p->values.push_back(std::move(v));
-      break;
-    case AggOp::kSum:
-      if (v.is_int()) {
-        p->sum.Add(v.AsInt());
-      } else {
-        p->fallback = true;
-      }
-      break;
-    case AggOp::kMin:
-    case AggOp::kMax: {
-      if (!p->has_best) {
-        p->best = std::move(v);
-        p->has_best = true;
-      } else {
-        int cmp = TotalOrderCompare(v, p->best);
-        if ((spec.op == AggOp::kMin && cmp < 0) ||
-            (spec.op == AggOp::kMax && cmp > 0)) {
-          p->best = std::move(v);
-        }
-      }
-      break;
-    }
-    case AggOp::kCountStar:
-    case AggOp::kGeneric:
-      break;  // handled above
-  }
-  return Status::OK();
-}
-
-/// Folds `next` (the later morsel) into `into` (the earlier), preserving
-/// sequential row order everywhere order matters.
-void MergePartial(const AggSpec& spec, Partial&& next, Partial* into) {
-  into->fallback |= next.fallback;
-  switch (spec.op) {
-    case AggOp::kCountStar:
-      into->count += next.count;
-      return;
-    case AggOp::kGeneric:
-      return;
-    default:
-      break;
-  }
-  if (spec.distinct) {
-    for (Value& v : next.values) {
-      if (into->seen.insert(v).second) into->values.push_back(std::move(v));
-    }
-    return;
-  }
-  switch (spec.op) {
-    case AggOp::kCount:
-      into->count += next.count;
-      break;
-    case AggOp::kCollect:
-      into->values.insert(into->values.end(),
-                          std::make_move_iterator(next.values.begin()),
-                          std::make_move_iterator(next.values.end()));
-      break;
-    case AggOp::kSum:
-      into->sum.Merge(next.sum);
-      break;
-    case AggOp::kMin:
-    case AggOp::kMax:
-      if (!into->has_best) {
-        into->best = std::move(next.best);
-        into->has_best = next.has_best;
-      } else if (next.has_best) {
-        // `next` holds later rows: it only replaces on a strict win, which
-        // is exactly the sequential first-seen tie-break.
-        int cmp = TotalOrderCompare(next.best, into->best);
-        if ((spec.op == AggOp::kMin && cmp < 0) ||
-            (spec.op == AggOp::kMax && cmp > 0)) {
-          into->best = std::move(next.best);
-        }
-      }
-      break;
-    case AggOp::kCountStar:
-    case AggOp::kGeneric:
-      break;  // handled above
-  }
-}
-
-/// The sequential sum() loop (evaluator.cc), replayed over a DISTINCT
-/// merged value list: same type checks, same stepwise overflow, same
-/// messages.
-Result<Value> ReplaySum(const std::vector<Value>& values) {
-  bool all_int = true;
-  double fsum = 0;
-  int64_t isum = 0;
-  for (const Value& v : values) {
-    if (!v.is_number()) {
-      return Status::ExecutionError("sum() expects numeric values");
-    }
-    if (v.is_int()) {
-      if (__builtin_add_overflow(isum, v.AsInt(), &isum)) {
-        return Status::ExecutionError("integer overflow in sum()");
-      }
-    } else {
-      all_int = false;
-    }
-    fsum += v.AsNumber();
-  }
-  return all_int ? Value::Int(isum) : Value::Float(fsum);
-}
-
-/// The sequential min()/max() scan, replayed over a DISTINCT merged list.
-Result<Value> ReplayMinMax(const std::vector<Value>& values, bool is_min) {
-  if (values.empty()) return Value::Null();
-  const Value* best = &values[0];
-  for (const Value& v : values) {
-    int cmp = TotalOrderCompare(v, *best);
-    if ((is_min && cmp < 0) || (!is_min && cmp > 0)) best = &v;
-  }
-  return *best;
-}
-
-Result<Value> FinalizePartial(const AggSpec& spec, Partial&& p) {
-  if (spec.distinct) {
-    switch (spec.op) {
-      case AggOp::kCount:
-        return Value::Int(static_cast<int64_t>(p.values.size()));
-      case AggOp::kCollect:
-        return Value::List(std::move(p.values));
-      case AggOp::kSum:
-        return ReplaySum(p.values);
-      case AggOp::kMin:
-      case AggOp::kMax:
-        return ReplayMinMax(p.values, spec.op == AggOp::kMin);
-      default:
-        break;
-    }
-  }
-  switch (spec.op) {
-    case AggOp::kCountStar:
-    case AggOp::kCount:
-      return Value::Int(p.count);
-    case AggOp::kCollect:
-      return Value::List(std::move(p.values));
-    case AggOp::kSum:
-      if (p.sum.Overflowed()) {
-        return Status::ExecutionError("integer overflow in sum()");
-      }
-      return Value::Int(static_cast<int64_t>(p.sum.sum));
-    case AggOp::kMin:
-    case AggOp::kMax:
-      if (!p.has_best) return Value::Null();
-      return std::move(p.best);
-    case AggOp::kGeneric:
-      break;
-  }
-  CYPHER_CHECK(false && "generic aggregate has no partial finalize");
-  return Value::Null();
-}
-
-/// One task's (or the merged) grouping state: groups in first-occurrence
-/// order, each with its key, its member rows (ascending), and one Partial
-/// per aggregate item.
-struct GroupSet {
-  std::vector<std::vector<Value>> keys;
-  std::vector<std::vector<size_t>> rows;
-  std::vector<std::vector<Partial>> partials;
-  std::unordered_map<std::vector<Value>, size_t, ValueVecHash, ValueVecEq>
-      index;
-};
-
-}  // namespace
-
 Result<bool> TryParallelAggregate(const EvalContext& ec,
                                   const EvalOptions& options,
                                   const Table& input,
@@ -709,64 +471,29 @@ Result<bool> TryParallelAggregate(const EvalContext& ec,
           CancelGate gate(ec.cancel);
           size_t begin = task * chunk;
           size_t end = std::min(num_rows, begin + chunk);
+          std::vector<Value> key;
           for (size_t r = begin; r < end; ++r) {
             CYPHER_RETURN_NOT_OK(gate.Check());
-            std::vector<Value> key;
-            key.reserve(key_items.size());
+            key.clear();
             for (const RowEval& ke : key_eval) {
               CYPHER_ASSIGN_OR_RETURN(Value v, ke.Eval(r));
               key.push_back(std::move(v));
             }
-            auto [it, inserted] = gs.index.try_emplace(key, gs.keys.size());
-            if (inserted) {
-              gs.keys.push_back(std::move(key));
-              gs.rows.emplace_back();
-              gs.partials.emplace_back(items.size());
-            }
-            size_t g = it->second;
+            size_t g = gs.Group(key, items.size());
             gs.rows[g].push_back(r);
             for (size_t i = 0; i < items.size(); ++i) {
               if (!items[i].has_agg) continue;
-              CYPHER_RETURN_NOT_OK(UpdatePartial(specs[i], arg_eval[i].get(),
-                                                 r, &gs.partials[g][i]));
+              UpdatePartial(specs[i], &gs.partials[g][i],
+                            [&] { return arg_eval[i]->Eval(r); });
             }
           }
           return Status::OK();
         }));
   }
 
-  // Phase 2 (sequential): merge task group sets in morsel order. First
-  // occurrence across ordered morsels is first occurrence across rows, so
-  // merged group order is exactly the sequential group order.
-  GroupSet merged;
-  if (key_items.empty()) {
-    // The global group exists unconditionally (ExecProjection creates it up
-    // front); every task contributed to the same empty key.
-    merged.keys.emplace_back();
-    merged.rows.emplace_back();
-    merged.partials.emplace_back(items.size());
-    merged.index.emplace(std::vector<Value>(), 0);
-  }
-  for (GroupSet& gs : task_groups) {
-    for (size_t g = 0; g < gs.keys.size(); ++g) {
-      auto [it, inserted] = merged.index.try_emplace(gs.keys[g],
-                                                     merged.keys.size());
-      if (inserted) {
-        merged.keys.push_back(std::move(gs.keys[g]));
-        merged.rows.push_back(std::move(gs.rows[g]));
-        merged.partials.push_back(std::move(gs.partials[g]));
-        continue;
-      }
-      size_t m = it->second;
-      merged.rows[m].insert(merged.rows[m].end(), gs.rows[g].begin(),
-                            gs.rows[g].end());
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (!items[i].has_agg) continue;
-        MergePartial(specs[i], std::move(gs.partials[g][i]),
-                     &merged.partials[m][i]);
-      }
-    }
-  }
+  // Phase 2 (sequential): merge task group sets in morsel order.
+  GroupSet merged =
+      MergeGroupSets(std::move(task_groups), specs, key_items.empty());
 
   // Phase 3 (sequential, tiny: one step per group): finalize in group
   // order. Fast partials materialize directly; everything else re-runs the

@@ -1,6 +1,7 @@
 #ifndef CYPHER_EXEC_PARALLEL_H_
 #define CYPHER_EXEC_PARALLEL_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "ast/clause.h"
 #include "common/result.h"
 #include "eval/env.h"
+#include "eval/evaluator.h"
 #include "exec/options.h"
 #include "match/matcher.h"
 #include "table/table.h"
@@ -55,19 +57,34 @@ std::optional<ParallelPlan> PlanParallelMatch(const EvalOptions& options,
 std::string DescribeParallelMatch(const EvalOptions& options,
                                   const CompiledMatch& compiled);
 
-/// Runs the MATCH record loop in parallel per `plan` and appends the
-/// matched rows (input row + `new_vars` columns) to `out`, byte-identical
-/// to the sequential loop. `where` (may be null) filters assignments
-/// exactly as ExecMatch does; `optional_match` appends the null-extended
+/// Runs the MATCH record loop — sequentially when `plan` is null, else
+/// fanned out per `plan` — and appends the matched rows (input row +
+/// `new_vars` columns) to `out`, byte-identical either way. `where` (may be
+/// null) filters assignments; `optional_match` appends the null-extended
 /// row for match-less records; `unmatched` (may be null) collects the
 /// indices of match-less records in ascending order (revised MERGE's
-/// failed list). Opens a PropertyGraph::ParallelReadScope for the duration.
-Status ParallelMatchRows(const EvalContext& ec, const MatchOptions& mopts,
-                         const ParallelPlan& plan, const Table& input,
-                         const CompiledMatch& compiled, const Expr* where,
-                         const std::vector<std::string>& new_vars,
-                         bool optional_match, std::vector<size_t>* unmatched,
-                         Table* out);
+/// failed list). A plan opens a PropertyGraph::ParallelReadScope for the
+/// duration.
+Status MatchRows(const EvalContext& ec, const MatchOptions& mopts,
+                 const ParallelPlan* plan, const Table& input,
+                 const CompiledMatch& compiled, const Expr* where,
+                 const std::vector<std::string>& new_vars, bool optional_match,
+                 std::vector<size_t>* unmatched, Table* out);
+
+/// The anchor-domain tiles of an anchor-mode plan — the tasks StreamMatches
+/// splits one record's enumeration into — else 1.
+size_t AnchorTiles(const ParallelPlan* plan);
+
+/// Streams the passing matches of the single record of `input` into
+/// `emit(task, assignment)` instead of building rows. Tasks partition the
+/// enumeration in order (every match of task t precedes those of task
+/// t + 1); anchor tiles run concurrently, so `emit` may only touch
+/// task-local state. Like MatchRows, the error returned is the lowest
+/// failing task's — the one the sequential walk hits first.
+Status StreamMatches(
+    const EvalContext& ec, const MatchOptions& mopts, const ParallelPlan* plan,
+    const Table& input, const CompiledMatch& compiled, const WhereEval& where,
+    const std::function<Result<bool>(size_t, const MatchAssignment&)>& emit);
 
 /// One projection item as the parallel executor sees it.
 struct ProjItemView {

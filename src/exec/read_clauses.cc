@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -7,6 +8,7 @@
 #include "common/check.h"
 #include "common/read_pin.h"
 #include "eval/evaluator.h"
+#include "exec/aggregate.h"
 #include "exec/clauses.h"
 #include "exec/match_slots.h"
 #include "exec/parallel.h"
@@ -53,63 +55,6 @@ std::vector<std::string> MatchNewVars(const MatchClause& clause,
   return new_vars;
 }
 
-/// Runs `compiled` for every record of `*table` (fanning out through the
-/// morsel pool when the planner says so), applies the clause's WHERE and
-/// OPTIONAL null-padding, and replaces `*table` with the joined output.
-Status ExecMatchCompiled(ExecContext* ctx, const MatchClause& clause,
-                         const CompiledMatch& compiled,
-                         const std::vector<std::string>& new_vars,
-                         Table* table) {
-  Table out = Table::WithColumns(table->columns());
-  for (const std::string& var : new_vars) out.AddColumn(var);
-  EvalContext ec = ctx->Eval();
-  if (std::optional<ParallelPlan> plan = PlanParallelMatch(
-          ctx->options, *ec.graph, compiled, table->num_rows())) {
-    CYPHER_RETURN_NOT_OK(ParallelMatchRows(
-        ec, ctx->Match(), *plan, *table, compiled, clause.where.get(),
-        new_vars, clause.optional, /*unmatched=*/nullptr, &out));
-    *table = std::move(out);
-    return Status::OK();
-  }
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    Bindings bindings(table, r);
-    bool any = false;
-    Status st = MatchCompiled(
-        ec, bindings, compiled, ctx->Match(),
-        [&](const MatchAssignment& assignment) -> Result<bool> {
-          if (clause.where != nullptr) {
-            Bindings wb = bindings;
-            for (const auto& [name, value] : assignment.entries()) {
-              wb.Push(name, value);
-            }
-            CYPHER_ASSIGN_OR_RETURN(Tri pass,
-                                    EvaluatePredicate(ec, wb, *clause.where));
-            if (pass != Tri::kTrue) return true;  // keep enumerating
-          }
-          const std::vector<Value>& base = table->row(r);
-          std::vector<Value> row;
-          row.reserve(base.size() + new_vars.size());
-          row.insert(row.end(), base.begin(), base.end());
-          for (const std::string& var : new_vars) {
-            const Value* v = assignment.Find(var);
-            CYPHER_CHECK(v != nullptr && "pattern variable not assigned");
-            row.push_back(*v);
-          }
-          out.AddRow(std::move(row));
-          any = true;
-          return true;
-        });
-    CYPHER_RETURN_NOT_OK(st);
-    if (clause.optional && !any) {
-      std::vector<Value> row = table->row(r);
-      row.resize(row.size() + new_vars.size());  // nulls
-      out.AddRow(std::move(row));
-    }
-  }
-  *table = std::move(out);
-  return Status::OK();
-}
-
 /// The plan in `slot`, recompiled first unless its stamp still matches the
 /// graph. The compile context carries no parameters — constant folding
 /// only ever folds literal/parameter subtrees, and a failed `$#N` fold
@@ -134,36 +79,50 @@ std::shared_ptr<const CompiledMatch> SlotPlan(const ExecContext& ctx,
   return slot.plan;
 }
 
+/// The plan MATCH runs `clause` with over the non-empty `table`. A cached
+/// statement reuses its stamped plan for small tables (the hot
+/// parametrized-statement case). From kTransientIndexMinRows rows on the
+/// compile may plan a transient hash index, which bakes live NodeIds and is
+/// never cacheable, so those compile fresh like an uncached clause — once
+/// per clause: boundness and interned symbols are identical across records
+/// of one table; only row values differ (memoized per record inside the
+/// engine).
+std::shared_ptr<const CompiledMatch> MatchPlan(const ExecContext& ctx,
+                                               const MatchClause& clause,
+                                               const Table& table) {
+  size_t rows = table.num_rows();
+  const MatchSlot* slot =
+      ctx.match_slots == nullptr ? nullptr : ctx.match_slots->Find(clause);
+  if (slot != nullptr && rows < kTransientIndexMinRows) {
+    return SlotPlan(ctx, *slot, table);
+  }
+  return std::make_shared<const CompiledMatch>(CompileMatch(
+      ctx.Eval(), Bindings(&table, 0), clause.patterns, {.num_rows = rows}));
+}
+
 }  // namespace
 
 Status ExecMatch(ExecContext* ctx, const MatchClause& clause, Table* table) {
-  // Fresh variables this MATCH introduces (consistent across records).
+  // Fresh variables this MATCH introduces (consistent across records); an
+  // empty table still introduces the new (empty) columns.
   std::vector<std::string> new_vars = MatchNewVars(clause, *table);
-  size_t rows = table->num_rows();
-  if (rows == 0) {
-    // Still introduces the new (empty) columns.
-    Table out = Table::WithColumns(table->columns());
-    for (const std::string& var : new_vars) out.AddColumn(var);
-    *table = std::move(out);
-    return Status::OK();
+  Table out = Table::WithColumns(table->columns());
+  for (const std::string& var : new_vars) out.AddColumn(var);
+  if (table->num_rows() > 0) {
+    std::shared_ptr<const CompiledMatch> compiled =
+        MatchPlan(*ctx, clause, *table);
+    // Fans out through the morsel pool when the planner says so; applies
+    // the clause's WHERE and OPTIONAL null-padding either way.
+    EvalContext ec = ctx->Eval();
+    std::optional<ParallelPlan> plan = PlanParallelMatch(
+        ctx->options, *ec.graph, *compiled, table->num_rows());
+    CYPHER_RETURN_NOT_OK(MatchRows(
+        ec, ctx->Match(), plan.has_value() ? &*plan : nullptr, *table,
+        *compiled, clause.where.get(), new_vars, clause.optional,
+        /*unmatched=*/nullptr, &out));
   }
-  // A cached statement reuses its stamped plan for small tables (the hot
-  // parametrized-statement case). From kTransientIndexMinRows rows on the
-  // compile may plan a transient hash index, which bakes live NodeIds and
-  // is never cacheable, so those compile fresh like an uncached clause.
-  const MatchSlot* slot = ctx->match_slots == nullptr
-                              ? nullptr
-                              : ctx->match_slots->Find(clause);
-  if (slot != nullptr && rows < kTransientIndexMinRows) {
-    std::shared_ptr<const CompiledMatch> plan = SlotPlan(*ctx, *slot, *table);
-    return ExecMatchCompiled(ctx, clause, *plan, new_vars, table);
-  }
-  // Compile once per clause: boundness and interned symbols are identical
-  // across records of one table; only row values differ (memoized per
-  // record inside the engine).
-  CompiledMatch compiled = CompileMatch(ctx->Eval(), Bindings(table, 0),
-                                        clause.patterns, {.num_rows = rows});
-  return ExecMatchCompiled(ctx, clause, compiled, new_vars, table);
+  *table = std::move(out);
+  return Status::OK();
 }
 
 // ---- UNWIND ---------------------------------------------------------------
@@ -198,6 +157,17 @@ Status ExecUnwind(ExecContext* ctx, const UnwindClause& clause, Table* table) {
 
 // ---- WITH / RETURN ----------------------------------------------------------
 
+Result<int64_t> EvalRowCount(const EvalContext& ec, const Expr& expr,
+                             const char* what) {
+  Bindings empty;
+  CYPHER_ASSIGN_OR_RETURN(Value v, Evaluate(ec, empty, expr));
+  if (!v.is_int() || v.AsInt() < 0) {
+    return Status::ExecutionError(std::string(what) +
+                                  " expects a non-negative integer");
+  }
+  return v.AsInt();
+}
+
 namespace {
 
 struct ProjItem {
@@ -219,18 +189,49 @@ struct SortKeyLess {
   }
 };
 
-}  // namespace
-
-Result<int64_t> EvalRowCount(const EvalContext& ec, const Expr& expr,
-                             const char* what) {
-  Bindings empty;
-  CYPHER_ASSIGN_OR_RETURN(Value v, Evaluate(ec, empty, expr));
-  if (!v.is_int() || v.AsInt() < 0) {
-    return Status::ExecutionError(std::string(what) +
-                                  " expects a non-negative integer");
+/// ORDER BY — a stable sort on the key vectors aligned with `*out`'s rows —
+/// then SKIP / LIMIT.
+Status OrderAndPage(const EvalContext& ec, const ProjectionBody& body,
+                    const std::vector<std::vector<Value>>& sort_keys,
+                    Table* out) {
+  if (!body.order_by.empty()) {
+    std::vector<bool> ascending;
+    ascending.reserve(body.order_by.size());
+    for (const SortItem& sort : body.order_by) {
+      ascending.push_back(sort.ascending);
+    }
+    std::vector<size_t> order(out->num_rows());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    SortKeyLess less{&ascending};
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return less(sort_keys[a], sort_keys[b]);
+    });
+    Table sorted = Table::WithColumns(out->columns());
+    for (size_t i : order) sorted.AddRow(out->row(i));
+    *out = std::move(sorted);
   }
-  return v.AsInt();
+
+  // SKIP / LIMIT.
+  size_t begin = 0;
+  size_t end = out->num_rows();
+  if (body.skip != nullptr) {
+    CYPHER_ASSIGN_OR_RETURN(int64_t skip, EvalRowCount(ec, *body.skip, "SKIP"));
+    begin = std::min<size_t>(static_cast<size_t>(skip), end);
+  }
+  if (body.limit != nullptr) {
+    CYPHER_ASSIGN_OR_RETURN(int64_t limit,
+                            EvalRowCount(ec, *body.limit, "LIMIT"));
+    end = std::min(end, begin + static_cast<size_t>(limit));
+  }
+  if (begin != 0 || end != out->num_rows()) {
+    Table window = Table::WithColumns(out->columns());
+    for (size_t r = begin; r < end; ++r) window.AddRow(out->row(r));
+    *out = std::move(window);
+  }
+  return Status::OK();
 }
+
+}  // namespace
 
 Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
                       const Expr* where, Table* table) {
@@ -428,44 +429,205 @@ Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
     sort_keys = std::move(filtered_keys);
   }
 
-  // ORDER BY: stable sort by key vectors.
-  if (has_order) {
-    std::vector<bool> ascending;
-    ascending.reserve(body.order_by.size());
-    for (const SortItem& sort : body.order_by) {
-      ascending.push_back(sort.ascending);
-    }
-    std::vector<size_t> order(out.num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    SortKeyLess less{&ascending};
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return less(sort_keys[a], sort_keys[b]);
-    });
-    Table sorted = Table::WithColumns(out.columns());
-    for (size_t i : order) sorted.AddRow(out.row(i));
-    out = std::move(sorted);
-  }
-
-  // SKIP / LIMIT.
-  size_t begin = 0;
-  size_t end = out.num_rows();
-  if (body.skip != nullptr) {
-    CYPHER_ASSIGN_OR_RETURN(int64_t skip, EvalRowCount(ec, *body.skip, "SKIP"));
-    begin = std::min<size_t>(static_cast<size_t>(skip), end);
-  }
-  if (body.limit != nullptr) {
-    CYPHER_ASSIGN_OR_RETURN(int64_t limit,
-                            EvalRowCount(ec, *body.limit, "LIMIT"));
-    end = std::min(end, begin + static_cast<size_t>(limit));
-  }
-  if (begin != 0 || end != out.num_rows()) {
-    Table window = Table::WithColumns(out.columns());
-    for (size_t r = begin; r < end; ++r) window.AddRow(out.row(r));
-    out = std::move(window);
-  }
-
+  CYPHER_RETURN_NOT_OK(OrderAndPage(ec, body, sort_keys, &out));
   *table = std::move(out);
   return Status::OK();
+}
+
+// ---- MATCH -> aggregating projection, streamed -----------------------------
+
+namespace {
+
+/// The body of a WITH (without WHERE) or RETURN clause; null otherwise.
+const ProjectionBody* StreamableBody(const Clause& clause) {
+  if (clause.kind == ClauseKind::kReturn) {
+    return &static_cast<const ReturnClause&>(clause).body;
+  }
+  if (clause.kind != ClauseKind::kWith) return nullptr;
+  const auto& with = static_cast<const WithClause&>(clause);
+  return with.where == nullptr ? &with.body : nullptr;
+}
+
+/// `v` or `v.key` for one of `vars`.
+bool IsStreamOperand(const Expr& expr, const std::vector<std::string>& vars) {
+  const Expr* base = &expr;
+  if (base->kind == ExprKind::kProperty) {
+    base = static_cast<const PropertyExpr&>(expr).object.get();
+  }
+  if (base->kind != ExprKind::kVariable) return false;
+  const std::string& name = static_cast<const VariableExpr&>(*base).name;
+  return std::find(vars.begin(), vars.end(), name) != vars.end();
+}
+
+/// The item an ORDER BY key names by its alias, or items.size().
+size_t SortAlias(const ProjectionBody& body, const Expr& key) {
+  if (key.kind != ExprKind::kVariable) return body.items.size();
+  const std::string& name = static_cast<const VariableExpr&>(key).name;
+  size_t i = 0;
+  while (i < body.items.size() && body.items[i].alias != name) ++i;
+  return i;
+}
+
+}  // namespace
+
+bool StreamsIntoProjection(const SingleQuery& part) {
+  if (part.clauses.size() < 2) return false;
+  const ProjectionBody* body = StreamableBody(*part.clauses[1]);
+  if (part.clauses[0]->kind != ClauseKind::kMatch || body == nullptr ||
+      body->distinct || body->skip != nullptr || body->include_existing) {
+    return false;
+  }
+  const auto& match = static_cast<const MatchClause&>(*part.clauses[0]);
+  if (match.optional ||
+      std::none_of(body->items.begin(), body->items.end(),
+                   [](const ReturnItem& item) {
+                     return ContainsAggregate(*item.expr);
+                   })) {
+    return false;
+  }
+  std::vector<std::string> vars;
+  for (const PathPattern& pattern : match.patterns) {
+    for (std::string& var : PatternVariables(pattern)) {
+      vars.push_back(std::move(var));
+    }
+  }
+  for (size_t i = 0; i < body->items.size(); ++i) {
+    const ReturnItem& item = body->items[i];
+    for (size_t j = 0; j < i; ++j) {
+      if (body->items[j].alias == item.alias) return false;  // an error
+    }
+    if (!ContainsAggregate(*item.expr)) {
+      if (!IsStreamOperand(*item.expr, vars)) return false;
+      continue;
+    }
+    AggSpec spec = ClassifyAggregate(*item.expr);
+    switch (spec.op) {
+      case AggOp::kCountStar:
+        break;
+      case AggOp::kCount:
+      case AggOp::kSum:
+      case AggOp::kMin:
+      case AggOp::kMax:
+        if (spec.distinct || !IsStreamOperand(*spec.arg, vars)) return false;
+        break;
+      default:
+        return false;
+    }
+  }
+  for (const SortItem& sort : body->order_by) {
+    if (SortAlias(*body, *sort.expr) == body->items.size()) return false;
+  }
+  return true;
+}
+
+Result<bool> ExecStreamedAggregate(
+    ExecContext* ctx, const SingleQuery& part,
+    const std::function<Status(size_t)>& after_match, Table* table) {
+  const auto& match = static_cast<const MatchClause&>(*part.clauses[0]);
+  const ProjectionBody& body = *StreamableBody(*part.clauses[1]);
+  EvalContext ec = ctx->Eval();
+  const size_t num_items = body.items.size();
+  // Per item: the aggregate (kGeneric for a grouping key) and the operand
+  // it reads, resolved once.
+  std::vector<AggSpec> specs(num_items);
+  std::vector<std::optional<MatchOperand>> operands(num_items);
+  std::vector<size_t> key_items;
+  for (size_t i = 0; i < num_items; ++i) {
+    const Expr* operand = body.items[i].expr.get();
+    if (ContainsAggregate(*operand)) {
+      specs[i] = ClassifyAggregate(*operand);
+      operand = specs[i].arg;
+    } else {
+      key_items.push_back(i);
+    }
+    if (operand != nullptr) {
+      operands[i] = MatchOperand::Resolve(ec, *table, *operand);
+      CYPHER_CHECK(operands[i].has_value() && "`v` / `v.key` always resolves");
+    }
+  }
+
+  std::shared_ptr<const CompiledMatch> compiled = MatchPlan(*ctx, match, *table);
+  std::optional<ParallelPlan> plan =
+      PlanParallelMatch(ctx->options, *ec.graph, *compiled, table->num_rows());
+  const ParallelPlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
+  struct TaskState {
+    GroupSet groups;
+    std::vector<Value> key;  // scratch
+    size_t matches = 0;
+    bool declined = false;
+  };
+  std::vector<TaskState> tasks(AnchorTiles(plan_ptr));
+  const WhereEval where(ec, *table, match.where.get());
+  Status st = StreamMatches(
+      ec, ctx->Match(), plan_ptr, *table, *compiled, where,
+      [&](size_t task, const MatchAssignment& assignment) -> Result<bool> {
+        TaskState& ts = tasks[task];
+        ++ts.matches;
+        ts.key.clear();
+        for (size_t i : key_items) {
+          const Value* v = operands[i]->Eval(0, assignment);
+          if (v == nullptr) {
+            ts.declined = true;  // the key would need the generic rules
+            return false;
+          }
+          ts.key.push_back(*v);
+        }
+        std::vector<Partial>& partials =
+            ts.groups.partials[ts.groups.Group(ts.key, num_items)];
+        for (size_t i = 0; i < num_items; ++i) {
+          if (specs[i].op == AggOp::kGeneric) continue;  // a grouping key
+          UpdatePartial(specs[i], &partials[i], [&]() -> Result<Value> {
+            if (const Value* v = operands[i]->Eval(0, assignment)) return *v;
+            return Status::ExecutionError("operand needs the generic rules");
+          });
+          if (partials[i].fallback) {
+            ts.declined = true;
+            return false;
+          }
+        }
+        return true;
+      });
+  // A declined task stopped early, so neither its count nor an error from
+  // a later task is final: the materialized path decides both.
+  size_t matches = 0;
+  for (const TaskState& ts : tasks) {
+    if (ts.declined) return false;
+    matches += ts.matches;
+  }
+  CYPHER_RETURN_NOT_OK(st);
+  CYPHER_RETURN_NOT_OK(after_match(matches));
+
+  std::vector<GroupSet> parts;
+  parts.reserve(tasks.size());
+  for (TaskState& ts : tasks) parts.push_back(std::move(ts.groups));
+  GroupSet merged = MergeGroupSets(std::move(parts), specs, key_items.empty());
+  std::vector<std::string> aliases;
+  for (const ReturnItem& item : body.items) aliases.push_back(item.alias);
+  Table out = Table::WithColumns(aliases);
+  std::vector<std::vector<Value>> sort_keys;
+  for (size_t g = 0; g < merged.keys.size(); ++g) {
+    std::vector<Value> row(num_items);
+    size_t key_slot = 0;
+    for (size_t i = 0; i < num_items; ++i) {
+      if (specs[i].op == AggOp::kGeneric) {
+        row[i] = std::move(merged.keys[g][key_slot++]);
+      } else {
+        CYPHER_ASSIGN_OR_RETURN(
+            row[i], FinalizePartial(specs[i], std::move(merged.partials[g][i])));
+      }
+    }
+    if (!body.order_by.empty()) {
+      std::vector<Value> keys;
+      for (const SortItem& sort : body.order_by) {
+        keys.push_back(row[SortAlias(body, *sort.expr)]);
+      }
+      sort_keys.push_back(std::move(keys));
+    }
+    out.AddRow(std::move(row));
+  }
+  CYPHER_RETURN_NOT_OK(OrderAndPage(ec, body, sort_keys, &out));
+  *table = std::move(out);
+  return true;
 }
 
 // ---- Dispatch ---------------------------------------------------------------

@@ -357,7 +357,9 @@ Status ApplyRedoLog(PropertyGraph* graph, std::string_view redo) {
 }
 
 Result<RecoveredGraph> RecoverGraph(std::string_view wal_bytes) {
-  CYPHER_ASSIGN_OR_RETURN(WalContents contents, DecodeWal(wal_bytes));
+  // Replays straight from the image: a payload copy per record would hold
+  // a second copy of the log during recovery.
+  CYPHER_ASSIGN_OR_RETURN(WalScan contents, ScanWal(wal_bytes));
   RecoveredGraph out;
   out.valid_bytes = contents.valid_bytes;
   out.torn_tail = contents.torn_tail;

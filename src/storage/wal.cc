@@ -44,58 +44,90 @@ size_t WalFrameSize(std::string_view bytes) {
   return 8 + len;
 }
 
+namespace {
+
+enum class FrameStatus { kOk, kTorn, kCorrupt, kUnknownType };
+
+/// The frame walker every decoder shares: checks the frame at the front of
+/// `bytes` and views its record in place. `*size` is the frame size (0
+/// when torn).
+FrameStatus ReadFrame(std::string_view bytes, WalRecordView* record,
+                      size_t* size) {
+  *size = WalFrameSize(bytes);
+  if (*size == 0) return FrameStatus::kTorn;
+  const char* body = bytes.data() + 8;
+  size_t len = *size - 8;
+  if (Crc32(body, len) != GetU32(bytes.data() + 4)) {
+    return FrameStatus::kCorrupt;
+  }
+  auto type = static_cast<WalRecordType>(static_cast<unsigned char>(*body));
+  if (type != WalRecordType::kSnapshot && type != WalRecordType::kStatement) {
+    return FrameStatus::kUnknownType;
+  }
+  *record = {type, std::string_view(body + 1, len - 1)};
+  return FrameStatus::kOk;
+}
+
+}  // namespace
+
 Result<std::vector<WalRecord>> DecodeWalSegment(std::string_view bytes) {
   std::vector<WalRecord> records;
   size_t pos = 0;
   while (pos < bytes.size()) {
-    size_t frame = WalFrameSize(bytes.substr(pos));
-    if (frame == 0) {
-      return Status::InvalidArgument("torn record in replication segment");
+    WalRecordView record;
+    size_t frame = 0;
+    switch (ReadFrame(bytes.substr(pos), &record, &frame)) {
+      case FrameStatus::kOk:
+        break;
+      case FrameStatus::kTorn:
+        return Status::InvalidArgument("torn record in replication segment");
+      case FrameStatus::kCorrupt:
+        return Status::InvalidArgument(
+            "corrupt record in replication segment");
+      case FrameStatus::kUnknownType:
+        return Status::InvalidArgument(
+            "unknown record type in replication segment");
     }
-    uint32_t crc = GetU32(bytes.data() + pos + 4);
-    const char* body = bytes.data() + pos + 8;
-    size_t len = frame - 8;
-    if (Crc32(body, len) != crc) {
-      return Status::InvalidArgument("corrupt record in replication segment");
-    }
-    auto type = static_cast<WalRecordType>(static_cast<unsigned char>(*body));
-    if (type != WalRecordType::kSnapshot &&
-        type != WalRecordType::kStatement) {
-      return Status::InvalidArgument(
-          "unknown record type in replication segment");
-    }
-    records.push_back({type, std::string(body + 1, len - 1)});
+    records.push_back({record.type, std::string(record.payload)});
     pos += frame;
   }
   return records;
 }
 
-Result<WalContents> DecodeWal(std::string_view bytes) {
+Result<WalScan> ScanWal(std::string_view bytes) {
   if (bytes.size() < kWalMagicSize ||
       std::memcmp(bytes.data(), kWalMagic, kWalMagicSize) != 0) {
     return Status::InvalidArgument(
         "not a write-ahead log (bad or short magic)");
   }
-  WalContents out;
+  WalScan out;
   size_t pos = kWalMagicSize;
   out.valid_bytes = pos;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) break;  // torn header
-    uint32_t len = GetU32(bytes.data() + pos);
-    uint32_t crc = GetU32(bytes.data() + pos + 4);
-    if (len == 0 || bytes.size() - pos - 8 < len) break;  // torn body
-    const char* body = bytes.data() + pos + 8;
-    if (Crc32(body, len) != crc) break;  // corrupt record
-    auto type = static_cast<WalRecordType>(static_cast<unsigned char>(*body));
-    if (type != WalRecordType::kSnapshot &&
-        type != WalRecordType::kStatement) {
-      break;  // future/garbage type: stop, do not guess
+    // A torn, corrupt or future/garbage-typed frame ends the valid prefix:
+    // stop, do not guess.
+    WalRecordView record;
+    size_t frame = 0;
+    if (ReadFrame(bytes.substr(pos), &record, &frame) != FrameStatus::kOk) {
+      break;
     }
-    out.records.push_back({type, std::string(body + 1, len - 1)});
-    pos += 8 + len;
+    out.records.push_back(record);
+    pos += frame;
     out.valid_bytes = pos;
   }
   out.torn_tail = out.valid_bytes < bytes.size();
+  return out;
+}
+
+Result<WalContents> DecodeWal(std::string_view bytes) {
+  CYPHER_ASSIGN_OR_RETURN(WalScan scan, ScanWal(bytes));
+  WalContents out;
+  out.records.reserve(scan.records.size());
+  for (const WalRecordView& record : scan.records) {
+    out.records.push_back({record.type, std::string(record.payload)});
+  }
+  out.valid_bytes = scan.valid_bytes;
+  out.torn_tail = scan.torn_tail;
   return out;
 }
 

@@ -54,9 +54,26 @@ struct WalContents {
   bool torn_tail = false;
 };
 
-/// Decodes a log image. Fails (InvalidArgument) only when the magic itself
-/// is wrong or short — anything after a good magic degrades to a torn tail,
+/// A record viewed in place inside a log image.
+struct WalRecordView {
+  WalRecordType type = WalRecordType::kStatement;
+  std::string_view payload;
+};
+
+/// WalContents without the payload copies: the records view the scanned
+/// image, which must outlive the scan.
+struct WalScan {
+  std::vector<WalRecordView> records;
+  uint64_t valid_bytes = 0;
+  bool torn_tail = false;
+};
+
+/// Walks a log image. Fails (InvalidArgument) only when the magic itself is
+/// wrong or short — anything after a good magic degrades to a torn tail,
 /// never an error, because that is exactly what a crash leaves behind.
+Result<WalScan> ScanWal(std::string_view bytes);
+
+/// ScanWal with every payload copied out of the image.
 Result<WalContents> DecodeWal(std::string_view bytes);
 
 /// Size (header + body) of the complete frame at the front of `bytes`, or 0

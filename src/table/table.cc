@@ -90,4 +90,10 @@ bool ValueVecEq::operator()(const std::vector<Value>& a,
   return true;
 }
 
+uint64_t ValueHash::operator()(const Value& v) const { return HashValue(v); }
+
+bool ValueEq::operator()(const Value& a, const Value& b) const {
+  return GroupEquals(a, b);
+}
+
 }  // namespace cypher

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -83,6 +84,15 @@ struct ValueVecEq {
   bool operator()(const std::vector<Value>& a,
                   const std::vector<Value>& b) const;
 };
+
+/// The same adapters for single values (DISTINCT aggregates).
+struct ValueHash {
+  uint64_t operator()(const Value& v) const;
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const;
+};
+using ValueSet = std::unordered_set<Value, ValueHash, ValueEq>;
 
 }  // namespace cypher
 

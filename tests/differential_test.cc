@@ -79,13 +79,15 @@ const ParallelKnobs kOracleConfigs[] = {{0, 256}, {2, 16}, {8, 1}};
 /// error status as a string so failures are compared byte-for-byte too.
 std::string RunCase(const PropertyGraph& base, const std::string& query,
                     size_t workers, size_t morsel,
-                    SemanticsMode semantics = SemanticsMode::kRevised) {
+                    SemanticsMode semantics = SemanticsMode::kRevised,
+                    size_t max_rows = 0) {
   GraphDatabase db;
   db.graph() = base;
   db.options().semantics = semantics;
   db.options().parallel_workers = workers;
   db.options().parallel_morsel_size = morsel;
   db.options().parallel_min_cost = 1;  // engage on every eligible clause
+  db.options().max_rows = max_rows;
   auto result = db.Execute(query);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
   return RenderResult(db.graph(), *result);
@@ -328,6 +330,12 @@ const struct AnchorCase {
     {"anchor-read",
      "MATCH (a:A) OPTIONAL MATCH (a)-[r:R]->(b:B) "
      "RETURN a.id AS a, r.c AS c, b.id AS b"},
+    {"anchor-read",
+     "MATCH (n:A) WHERE n.w >= 1 AND n.k <> 3 RETURN n.k AS g, count(*) AS c, "
+     "count(n.w) AS cw, sum(n.w) AS s, min(n.id) AS lo, max(n.id) AS hi "
+     "ORDER BY g DESC LIMIT 4"},
+    {"anchor-read",
+     "MATCH (n) RETURN n.k AS g, count(*) AS c, sum(n.f) AS s ORDER BY g"},
     {"anchor-update", "MATCH (a {id: 1}), (b {id: 2}) CREATE (a)-[:R {c: 3}]->(b)"},
     {"anchor-update", "OPTIONAL MATCH (n {id: 3}) SET n.tag = 7"},
     {"anchor-update", "OPTIONAL MATCH (n:New {id: 1999}) DETACH DELETE n"},
@@ -389,6 +397,154 @@ TEST(RewriteFuzz, EquivalenceOracle) {
     EXPECT_GT(fired[rule], 0u)
         << "rewrite rule '" << rule << "' never fired over " << corpus
         << " corpus statements";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Streamed MATCH -> aggregate pass vs the materialized path
+// ---------------------------------------------------------------------------
+
+/// The with-star-insert variant of `query`, or "" when the rule does not
+/// fire. Its `WITH *` barrier between the MATCH and the projection keeps
+/// the pair out of the streamed pass, so the variant runs the materialized
+/// path.
+std::string WithStarVariant(const std::string& query) {
+  for (const RewriteVariant& variant : GenerateRewrites(query)) {
+    if (variant.rule == "with-star-insert") return variant.query;
+  }
+  return "";
+}
+
+/// `query` and its with-star-insert variant must render byte-identically
+/// — row order and error text included — in both semantics and the
+/// sequential, anchor-tile and single-row-morsel configurations.
+void ExpectStreamedMatchesMaterialized(const PropertyGraph& base,
+                                       const std::string& query,
+                                       size_t max_rows = 0) {
+  const std::string barrier = WithStarVariant(query);
+  ASSERT_FALSE(barrier.empty()) << "with-star-insert did not fire: " << query;
+  for (SemanticsMode semantics :
+       {SemanticsMode::kLegacy, SemanticsMode::kRevised}) {
+    for (const ParallelKnobs& cfg : kOracleConfigs) {
+      const std::string want = RunCase(base, barrier, cfg.workers, cfg.morsel,
+                                       semantics, max_rows);
+      const std::string got = RunCase(base, query, cfg.workers, cfg.morsel,
+                                      semantics, max_rows);
+      if (got != want) {
+        const std::string repro =
+            ReproLine("streamed-vs-materialized", 0, 0, "with-star-insert",
+                      semantics, cfg.workers, cfg.morsel, query);
+        LogRepro(repro);
+        ADD_FAILURE() << repro << "\n" << FirstDivergence(want, got);
+      }
+    }
+  }
+}
+
+TEST(StreamedAggregate, GeneratedCasesMatchMaterializedPath) {
+  size_t streamed = 0;
+  size_t float_sums = 0;
+  for (uint64_t gs = 0; gs < kGraphSeeds; ++gs) {
+    const PropertyGraph base = MakeGraph(gs);
+    for (uint64_t qs = 0; qs < 60; ++qs) {
+      const std::string query = GenerateReadQuery(gs * 1000 + qs);
+      const bool float_variant = query.find("sum(n.f)") != std::string::npos;
+      if (!float_variant && query.find("AS cw") == std::string::npos) continue;
+      ++streamed;
+      ExpectStreamedMatchesMaterialized(base, query);
+      if (float_variant) {
+        // A float sum can only come from the rerun: the partials of the
+        // streamed pass hold integer sums only.
+        GraphDatabase db;
+        db.graph() = base;
+        auto result = db.Execute(query);
+        ASSERT_TRUE(result.ok()) << query;
+        for (const std::vector<Value>& row : result->rows) {
+          if (row[2].is_float()) ++float_sums;
+        }
+      }
+    }
+  }
+  EXPECT_GE(streamed, 20u) << "the generator stopped emitting streamed pairs";
+  EXPECT_GT(float_sums, 0u) << "no generated sum() met a float";
+}
+
+// Hand-written edge cases: the empty match, a null group key, integer
+// overflow in sum(), a float sum, the row budget, and WITH pairs.
+TEST(StreamedAggregate, AnchorCasesMatchMaterializedPath) {
+  GraphDatabase setup;
+  ASSERT_TRUE(setup
+                  .Run("CREATE (:G {id: 0, k: 1, w: 9223372036854775807}), "
+                       "(:G {id: 1, k: 1, w: 1}), (:G {id: 2, w: 2}), "
+                       "(:G {id: 3, k: 2, w: -3}), (:G {id: 4, k: 2, w: 4}), "
+                       "(:H {id: 5, k: 1, w: 1.5}), (:H {id: 6, k: 1, w: 2})")
+                  .ok());
+  const PropertyGraph base = setup.graph();
+  const struct {
+    const char* query;
+    size_t max_rows;
+    const char* expect;  // a substring of the sequential rendering
+  } cases[] = {
+      {"MATCH (n:Nope) RETURN count(*) AS c, count(n.w) AS cw, "
+       "sum(n.w) AS s, min(n.w) AS lo",
+       0, "| 0 | 0  | 0 | null |"},
+      {"MATCH (n:Nope) RETURN n.k AS g, count(*) AS c", 0, "0 rows"},
+      {"MATCH (n:G) WHERE n.id > 0 RETURN n.k AS g, count(*) AS c, "
+       "sum(n.w) AS s ORDER BY g",
+       0, "| null | 1 | 2 |"},
+      {"MATCH (n:G) RETURN n.k AS g, sum(n.w) AS s", 0,
+       "integer overflow in sum()"},
+      {"MATCH (n:H) RETURN n.k AS g, sum(n.w) AS s", 0, "3.5"},
+      {"MATCH (n:G) RETURN count(*) AS c", 3, "row limit (3 records) after MATCH"},
+      {"MATCH (n:G) RETURN n.id AS i, count(*) AS c", 5, "5 rows"},
+      {"MATCH (n:G) WITH n.k AS g, max(n.id) AS hi WHERE hi > 1 "
+       "RETURN g, hi ORDER BY g",
+       0, "| 2    | 4  |"},
+      {"MATCH (n:G) WITH n.k AS g, max(n.id) AS hi RETURN g, hi ORDER BY hi "
+       "DESC LIMIT 2",
+       0, "2 rows"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.query);
+    EXPECT_NE(RunCase(base, c.query, 0, 256, SemanticsMode::kRevised,
+                      c.max_rows)
+                  .find(c.expect),
+              std::string::npos)
+        << RunCase(base, c.query, 0, 256, SemanticsMode::kRevised, c.max_rows);
+    ExpectStreamedMatchesMaterialized(base, c.query, c.max_rows);
+  }
+
+  // PROFILE reports the same per-clause cardinalities as the WITH * form,
+  // whose extra barrier row is skipped.
+  const std::string profiled =
+      "MATCH (n:G) WHERE n.w >= 1 RETURN n.k AS g, count(*) AS c";
+  for (SemanticsMode semantics :
+       {SemanticsMode::kLegacy, SemanticsMode::kRevised}) {
+    for (const ParallelKnobs& cfg : kOracleConfigs) {
+      auto rows_out = [&](const std::string& query) {
+        GraphDatabase db;
+        db.graph() = base;
+        db.options().semantics = semantics;
+        db.options().parallel_workers = cfg.workers;
+        db.options().parallel_morsel_size = cfg.morsel;
+        db.options().parallel_min_cost = 1;
+        auto result = db.Execute("PROFILE " + query);
+        EXPECT_TRUE(result.ok()) << query;
+        std::vector<std::pair<std::string, int64_t>> out;
+        if (!result.ok()) return out;
+        for (const std::vector<Value>& row : result->rows) {
+          if (row[1].AsString() != "WITH *") {
+            out.emplace_back(row[1].AsString(), row[2].AsInt());
+          }
+        }
+        return out;
+      };
+      const auto streamed = rows_out(profiled);
+      EXPECT_EQ(streamed, rows_out(WithStarVariant(profiled)));
+      ASSERT_EQ(streamed.size(), 2u);
+      EXPECT_EQ(streamed[0].second, 4);  // MATCH + WHERE
+      EXPECT_EQ(streamed[1].second, 3);  // groups k = 1, k = 2 and null
+    }
   }
 }
 

@@ -43,6 +43,41 @@ TEST(ExplainTest, ReportsAccessPath) {
   EXPECT_NE(Cell(full, 0, 2).find("scan: all nodes"), std::string::npos);
 }
 
+TEST(ExplainTest, MarksStreamedAggregatePairs) {
+  GraphDatabase db;
+  auto match_details = [&](const std::string& query) {
+    return Cell(RunOk(&db, "EXPLAIN " + query), 0, 2);
+  };
+  const std::string streamed = match_details(
+      "MATCH (p:P) WHERE p.price >= 1 RETURN p.cat AS c, count(*) AS n, "
+      "sum(p.price) AS s ORDER BY c");
+  EXPECT_NE(streamed.find(", aggregate: streamed]"), std::string::npos)
+      << streamed;
+  EXPECT_NE(match_details("MATCH (n) WITH n.k AS k, max(n.v) AS m RETURN k")
+                .find("aggregate: streamed"),
+            std::string::npos);
+  // Outside the fragment the MATCH materializes its table as before.
+  for (const char* query : {
+           "MATCH (n) RETURN n.k AS k",
+           "MATCH (n) WITH * RETURN count(*) AS c",
+           "OPTIONAL MATCH (n) RETURN count(*) AS c",
+           "MATCH (n) RETURN count(DISTINCT n.k) AS c",
+           "MATCH (n) RETURN collect(n.k) AS ks",
+           "MATCH (n) RETURN n.k + 1 AS k, count(*) AS c",
+           "MATCH (n) RETURN n.k AS k, count(*) AS c ORDER BY n.k",
+           "MATCH (n) RETURN count(*) AS c SKIP 1",
+           "MATCH (n) WITH count(*) AS c WHERE c > 1 RETURN c",
+           "UNWIND [1] AS x MATCH (n) RETURN count(*) AS c",
+       }) {
+    QueryResult r = RunOk(&db, std::string("EXPLAIN ") + query);
+    for (const auto& row : r.rows) {
+      EXPECT_EQ(Cell(r, &row - r.rows.data(), 2).find("aggregate: streamed"),
+                std::string::npos)
+          << query;
+    }
+  }
+}
+
 TEST(ExplainTest, ReportsSemanticsMode) {
   EvalOptions legacy;
   legacy.semantics = SemanticsMode::kLegacy;
@@ -100,6 +135,17 @@ TEST(ProfileTest, ReportsCardinalitiesAndCommits) {
                             "MATCH (n:N) WHERE n.seen RETURN count(n) AS c");
   EXPECT_EQ(check.rows[0][0].AsInt(), 2);
   EXPECT_EQ(r.stats.properties_set, 2u);
+}
+
+TEST(ProfileTest, StreamedPairReportsBothClauses) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.Run("CREATE (:N {v: 1}), (:N {v: 2}), (:N {v: 2})").ok());
+  QueryResult r = RunOk(&db,
+                        "PROFILE MATCH (n:N) WHERE n.v > 0 "
+                        "RETURN n.v AS v, count(*) AS c");
+  ASSERT_EQ(r.rows.size(), 2u);  // MATCH, RETURN
+  EXPECT_EQ(r.rows[0][2].AsInt(), 3);  // the matches the pass consumed
+  EXPECT_EQ(r.rows[1][2].AsInt(), 2);  // groups
 }
 
 TEST(ProfileTest, FailingProfileRollsBack) {

@@ -159,7 +159,23 @@ std::string MaybePage(SplitMix64& rng, ParamSink* sink = nullptr) {
 
 std::string ReadQueryImpl(uint64_t seed, ParamSink* sink) {
   SplitMix64 rng(seed * 0xbf58476d1ce4e5b9ULL + 7);
-  switch (rng.NextBelow(13)) {
+  switch (rng.NextBelow(15)) {
+    case 13: {  // Grouped aggregate the interpreter streams out of the MATCH.
+      std::string q = "MATCH " + NodePat(rng, "n", sink);
+      if (rng.NextBelow(2) == 0) {
+        q += " WHERE n.w >= " +
+             IL(sink, static_cast<int64_t>(rng.NextBelow(4))) +
+             " AND n.k <> " + IL(sink, static_cast<int64_t>(rng.NextBelow(13)));
+      }
+      return q +
+             " RETURN n.k AS g, count(*) AS c, count(n.w) AS cw, sum(n.w) AS "
+             "s, min(n.id) AS lo, max(n.id) AS hi ORDER BY g DESC LIMIT " +
+             IL(sink, 1 + static_cast<int64_t>(rng.NextBelow(6)));
+    }
+    case 14:  // Streamable shape whose sum() meets floats: the streamed pass
+              // declines and the pair reruns materialized.
+      return "MATCH " + NodePat(rng, "n", sink) +
+             " RETURN n.k AS g, count(*) AS c, sum(n.f) AS s ORDER BY g";
     case 12:  // OPTIONAL MATCH expansion driven by a plain scan.
       return "MATCH " + NodePat(rng, "a", sink) + " OPTIONAL MATCH (a)" +
              Arrow(rng, "r" + RelTypes(rng)) + NodePat(rng, "b", sink) +
@@ -331,9 +347,13 @@ Status BuildRandomGraph(GraphDatabase* db, uint64_t seed) {
         labels = ":A:B";
         break;
     }
+    // f is a float on every third node, an integer or absent elsewhere.
+    const std::string f = i % 3 == 0   ? ", f: " + I(i) + ".5"
+                          : i % 3 == 1 ? ", f: " + I(i)
+                                       : "";
     create += "(" + labels + " {id: " + I(i) +
               ", k: " + I(static_cast<int64_t>(rng.NextBelow(13))) +
-              ", w: " + I(static_cast<int64_t>(rng.NextBelow(5))) + "})";
+              ", w: " + I(static_cast<int64_t>(rng.NextBelow(5))) + f + "})";
   }
   CYPHER_RETURN_NOT_OK(db->Run(create));
 

@@ -11,11 +11,12 @@
 namespace cypher::testing {
 
 /// Populates `db` with a small deterministic random graph: nodes labeled
-/// :A / :B (a few carry both), integer properties k / w plus a unique id,
-/// :R / :S relationships with an integer property c (self-loops and
-/// parallel edges included), then deletes a few relationships and nodes so
-/// tombstoned slots participate in every scan. The same seed always builds
-/// the same graph.
+/// :A / :B (a few carry both), integer properties k / w plus a unique id, a
+/// property f (a float on every third node, an integer or absent
+/// elsewhere), :R / :S relationships with an integer property c (self-loops
+/// and parallel edges included), then deletes a few relationships and nodes
+/// so tombstoned slots participate in every scan. The same seed always
+/// builds the same graph.
 Status BuildRandomGraph(GraphDatabase* db, uint64_t seed);
 
 /// A deterministic random read-only query valid over any BuildRandomGraph
@@ -23,7 +24,9 @@ Status BuildRandomGraph(GraphDatabase* db, uint64_t seed);
 /// windows, type alternatives, named paths), shortestPath /
 /// allShortestPaths, pattern conjunctions, OPTIONAL MATCH, UNWIND-driven
 /// probes, WHERE predicates, and projection / aggregation (count, sum,
-/// min, max, collect, avg, DISTINCT, ORDER BY, SKIP / LIMIT).
+/// min, max, collect, avg, DISTINCT, ORDER BY, SKIP / LIMIT) — including
+/// MATCH -> aggregate pairs the interpreter streams, and one whose sum()
+/// meets floats so the streamed pass declines.
 std::string GenerateReadQuery(uint64_t seed);
 
 /// A deterministic random update statement valid over any BuildRandomGraph

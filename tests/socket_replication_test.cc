@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +37,7 @@
 #include <sstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -364,6 +366,54 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Endpoint>& info) {
       return info.param.kind == Endpoint::Kind::kTcp ? "Tcp" : "UnixDomain";
     });
+
+// The server thread creates the leader's shipper on the first attach while
+// another thread polls replication_status(): the poll must see either no
+// follower or the fully built one (the TSan job runs this suite).
+TEST(SocketReplicationTest, StatusPollRacesFirstAttach) {
+  GraphDatabase leader;
+  ASSERT_TRUE(BuildRandomGraph(&leader, kSeed).ok());
+  ASSERT_TRUE(leader.OpenDurable(std::make_unique<MemoryLogFile>()).ok());
+  SocketReplicationServer server;
+  ASSERT_TRUE(server
+                  .Start(&leader, Endpoint::Tcp("127.0.0.1", 0),
+                         ReplicationOptions(), FastOptions())
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> polls{0};
+  std::atomic<size_t> polls_with_follower{0};
+  std::thread poller([&] {
+    while (!stop.load()) {
+      ReplicationStatus status = leader.replication_status();
+      polls.fetch_add(1);
+      if (status.followers == 1) polls_with_follower.fetch_add(1);
+    }
+  });
+  while (polls.load() == 0) std::this_thread::yield();  // before any dial
+
+  auto transport =
+      std::make_shared<SocketTransport>(server.endpoint(), FastOptions());
+  Replica replica(transport);
+  transport->SetHelloSource([&replica] {
+    return std::make_pair(replica.token(), replica.applied_lsn());
+  });
+  SocketCatchUp(&leader, &replica, transport.get());
+  // Keep polling until the poller has seen the attached follower.
+  int64_t deadline = SteadyNowMs() + 20000;
+  while (polls_with_follower.load() == 0 && SteadyNowMs() < deadline) {
+    usleep(1000);
+  }
+  stop.store(true);
+  poller.join();
+
+  EXPECT_EQ(server.stats().attaches, 1u);
+  EXPECT_GT(polls.load(), polls_with_follower.load());  // polled before too
+  EXPECT_GT(polls_with_follower.load(), 0u);
+  EXPECT_EQ(replica.CanonicalDump(), DumpGraphCanonical(leader.graph()));
+  transport->Close();
+  server.Stop();
+}
 
 // A paused follower goes silent; the leader's deadline drops the socket and
 // the link parks in backoff (cursors freeze — no data is shipped into the
