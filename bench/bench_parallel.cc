@@ -1,10 +1,10 @@
-// Engineering bench: morsel-driven parallel read execution — anchor-
-// partitioned scans, row-partitioned expansion, and parallel partial
-// aggregation, swept over worker counts. workers=1 runs the sequential
-// path (the regression baseline); speedups require physical cores, so on
-// single-core machines the interesting column is that workers>1 stays
-// close to sequential (scheduling overhead only) while remaining
-// byte-identical.
+// Engineering bench: anchor-tile parallel MATCH — the first path's label
+// or all-nodes scan split into ordered tiles — swept over worker counts.
+// workers=1 runs the sequential path (the regression baseline). Every
+// statement drives one record, so all parallelism comes from the tiles;
+// speedups require physical cores, and on a single core the interesting
+// column is that workers>1 stays close to sequential (scheduling overhead
+// only) while remaining byte-identical.
 
 #include "bench_util.h"
 
@@ -22,8 +22,8 @@ std::string WorkerLabel(int64_t workers) {
   return "workers=" + std::to_string(workers);
 }
 
-/// Anchor-mode morsels: one driving record fanning a big label scan with a
-/// property filter evaluated per candidate.
+/// One driving record fanning a big label scan into tiles, with a property
+/// filter evaluated per candidate and a streamed count.
 void BM_ParallelScan(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), 16, 0, 1);
@@ -42,7 +42,8 @@ BENCHMARK(BM_ParallelScan)
     ->Args({32768, 1})->Args({32768, 2})->Args({32768, 4})->Args({32768, 8})
     ->Unit(benchmark::kMicrosecond);
 
-/// Row-mode morsels: many driving records each expanding a two-hop join.
+/// One driving record whose :User anchor scan splits into tiles; each tile
+/// expands its users' two-hop joins.
 void BM_ParallelTwoHop(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), state.range(0) / 4,
@@ -63,8 +64,9 @@ BENCHMARK(BM_ParallelTwoHop)
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
 
-/// Parallel partial aggregation: per-morsel group-by with count / sum /
-/// min / max / DISTINCT partials merged in morsel order.
+/// A tiled MATCH feeding a grouped count / sum / min / max / DISTINCT
+/// projection. count(DISTINCT) keeps the pair off the streamed pass, so the
+/// MATCH materializes its table and the aggregation runs sequentially.
 void BM_ParallelAggregation(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0) / 8, 64,
@@ -86,9 +88,9 @@ BENCHMARK(BM_ParallelAggregation)
     ->Args({32768, 1})->Args({32768, 2})->Args({32768, 4})->Args({32768, 8})
     ->Unit(benchmark::kMicrosecond);
 
-/// Expand-mode morsels: one anchored start node, all parallelism inside the
-/// var-length frontier fan-out (trail-state arena tasks). workers=1 runs
-/// the sequential DFS enumeration.
+/// One start node found by scanning :User for `id: 1` (tiled), then a
+/// var-length walk from it: the walk runs on the one tile that holds the
+/// start, so workers>1 can only split the scan.
 void BM_ParallelVarLength(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), state.range(0) / 4,
@@ -109,8 +111,9 @@ BENCHMARK(BM_ParallelVarLength)
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
 
-/// Parallel BFS levels: shortestPath over a dense graph, frontier slices
-/// expanded across workers and merged in slice order per level.
+/// shortestPath over a dense graph: the two endpoint scans of the first
+/// MATCH split into tiles, and the BFS of the second MATCH runs on one
+/// thread (its anchor is bound).
 void BM_ParallelBFS(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), state.range(0) / 2,

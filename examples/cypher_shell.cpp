@@ -105,7 +105,7 @@ bool HandleMeta(GraphDatabase* db, const std::string& line) {
     std::printf(
         ":legacy/:revised, :order forward|reverse|shuffle [seed],\n"
         ":variant atomic|grouping|weak|collapse|strong|off, :homo/:trail,\n"
-        ":parallel <workers> [morsel], :timeout <ms>, :wal <path>,\n"
+        ":parallel <workers>, :timeout <ms>, :wal <path>,\n"
         ":checkpoint, :replicate [detach <id>], :serve <endpoint>|stop, :lag,\n"
         ":cache [clear|on|off], :dump, :dot, :stats, :clear, :quit\n");
     return true;
@@ -254,16 +254,13 @@ bool HandleMeta(GraphDatabase* db, const std::string& line) {
     return true;
   }
   if (line.rfind(":parallel", 0) == 0) {
-    char* end = nullptr;
     options.parallel_workers =
-        std::strtoull(line.c_str() + 9, &end, 10);
-    size_t morsel = std::strtoull(end, nullptr, 10);
-    if (morsel > 0) options.parallel_morsel_size = morsel;
+        std::strtoull(line.c_str() + 9, nullptr, 10);
     // Shell graphs are tiny; drop the cost gate so the parallel path
     // actually engages instead of silently falling back to sequential.
     options.parallel_min_cost = options.parallel_workers > 0 ? 1 : 2048;
-    std::printf("parallel: workers=%zu morsel=%zu (0 workers = sequential)\n",
-                options.parallel_workers, options.parallel_morsel_size);
+    std::printf("parallel: workers=%zu (0 workers = sequential)\n",
+                options.parallel_workers);
     return true;
   }
   if (line == ":legacy") {

@@ -20,8 +20,7 @@ namespace cypher {
 /// round-trips rather than thread creation.
 ///
 /// Regions are *jobs* on an open-job list, so a task may submit a nested
-/// region (e.g. a var-length expansion fanning out its frontier from inside
-/// a row morsel): the nested Run pushes its own job, parked helpers adopt
+/// region: the nested Run pushes its own job, parked helpers adopt
 /// it, and the submitting task drains it like any other participant.
 /// Helpers prefer the newest open job — the deepest region's submitter is
 /// itself blocked inside an outer task, so finishing inner work first

@@ -1,7 +1,6 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 #include "common/check.h"
@@ -10,11 +9,14 @@ namespace cypher {
 
 AggSpec ClassifyAggregate(const Expr& expr) {
   if (expr.kind == ExprKind::kCountStar) {
-    return {AggOp::kCountStar, false, nullptr};
+    return {AggOp::kCountStar, nullptr};
   }
   if (expr.kind != ExprKind::kFunction) return {};
   const auto& call = static_cast<const FunctionExpr&>(expr);
-  if (!IsAggregateFunctionName(call.name) || call.args.size() != 1) return {};
+  if (!IsAggregateFunctionName(call.name) || call.args.size() != 1 ||
+      call.distinct) {
+    return {};
+  }
   AggOp op;
   if (call.name == "count") {
     op = AggOp::kCount;
@@ -24,12 +26,10 @@ AggSpec ClassifyAggregate(const Expr& expr) {
     op = AggOp::kMin;
   } else if (call.name == "max") {
     op = AggOp::kMax;
-  } else if (call.name == "collect") {
-    op = AggOp::kCollect;
   } else {
     return {};
   }
-  return {op, call.distinct, call.args[0].get()};
+  return {op, call.args[0].get()};
 }
 
 void SumStats::Merge(const SumStats& next) {
@@ -48,23 +48,16 @@ bool SumStats::Overflowed() const {
 void FoldArgument(const AggSpec& spec, Result<Value> arg, Partial* p) {
   if (!arg.ok()) {
     // Not a task error: the sequential executor only hits this once group
-    // finalization reaches this (group, item) — the generic fallback will
-    // re-raise it at exactly that point.
+    // finalization reaches this (group, item) — the materialized rerun
+    // re-raises it at exactly that point.
     p->fallback = true;
     return;
   }
   Value v = std::move(arg).value();
   if (v.is_null()) return;  // every aggregate skips nulls
-  if (spec.distinct) {
-    if (p->seen.insert(v).second) p->values.push_back(std::move(v));
-    return;
-  }
   switch (spec.op) {
     case AggOp::kCount:
       ++p->count;
-      break;
-    case AggOp::kCollect:
-      p->values.push_back(std::move(v));
       break;
     case AggOp::kSum:
       if (v.is_int()) {
@@ -97,27 +90,8 @@ void MergePartial(const AggSpec& spec, Partial&& next, Partial* into) {
   into->fallback |= next.fallback;
   switch (spec.op) {
     case AggOp::kCountStar:
-      into->count += next.count;
-      return;
-    case AggOp::kGeneric:
-      return;
-    default:
-      break;
-  }
-  if (spec.distinct) {
-    for (Value& v : next.values) {
-      if (into->seen.insert(v).second) into->values.push_back(std::move(v));
-    }
-    return;
-  }
-  switch (spec.op) {
     case AggOp::kCount:
       into->count += next.count;
-      break;
-    case AggOp::kCollect:
-      into->values.insert(into->values.end(),
-                          std::make_move_iterator(next.values.begin()),
-                          std::make_move_iterator(next.values.end()));
       break;
     case AggOp::kSum:
       into->sum.Merge(next.sum);
@@ -137,72 +111,16 @@ void MergePartial(const AggSpec& spec, Partial&& next, Partial* into) {
         }
       }
       break;
-    case AggOp::kCountStar:
     case AggOp::kGeneric:
-      break;  // handled above
+      break;
   }
 }
-
-namespace {
-
-/// The sequential sum() loop (evaluator.cc), replayed over a DISTINCT
-/// merged value list: same type checks, same stepwise overflow, same
-/// messages.
-Result<Value> ReplaySum(const std::vector<Value>& values) {
-  bool all_int = true;
-  double fsum = 0;
-  int64_t isum = 0;
-  for (const Value& v : values) {
-    if (!v.is_number()) {
-      return Status::ExecutionError("sum() expects numeric values");
-    }
-    if (v.is_int()) {
-      if (__builtin_add_overflow(isum, v.AsInt(), &isum)) {
-        return Status::ExecutionError("integer overflow in sum()");
-      }
-    } else {
-      all_int = false;
-    }
-    fsum += v.AsNumber();
-  }
-  return all_int ? Value::Int(isum) : Value::Float(fsum);
-}
-
-/// The sequential min()/max() scan, replayed over a DISTINCT merged list.
-Result<Value> ReplayMinMax(const std::vector<Value>& values, bool is_min) {
-  if (values.empty()) return Value::Null();
-  const Value* best = &values[0];
-  for (const Value& v : values) {
-    int cmp = TotalOrderCompare(v, *best);
-    if ((is_min && cmp < 0) || (!is_min && cmp > 0)) best = &v;
-  }
-  return *best;
-}
-
-}  // namespace
 
 Result<Value> FinalizePartial(const AggSpec& spec, Partial&& p) {
-  if (spec.distinct) {
-    switch (spec.op) {
-      case AggOp::kCount:
-        return Value::Int(static_cast<int64_t>(p.values.size()));
-      case AggOp::kCollect:
-        return Value::List(std::move(p.values));
-      case AggOp::kSum:
-        return ReplaySum(p.values);
-      case AggOp::kMin:
-      case AggOp::kMax:
-        return ReplayMinMax(p.values, spec.op == AggOp::kMin);
-      default:
-        break;
-    }
-  }
   switch (spec.op) {
     case AggOp::kCountStar:
     case AggOp::kCount:
       return Value::Int(p.count);
-    case AggOp::kCollect:
-      return Value::List(std::move(p.values));
     case AggOp::kSum:
       if (p.sum.Overflowed()) {
         return Status::ExecutionError("integer overflow in sum()");
@@ -225,7 +143,6 @@ size_t GroupSet::Group(const std::vector<Value>& key, size_t num_items) {
   size_t g = keys.size();
   index.emplace(key, g);
   keys.push_back(key);
-  rows.emplace_back();
   partials.emplace_back(num_items);
   return g;
 }
@@ -245,13 +162,10 @@ GroupSet MergeGroupSets(std::vector<GroupSet>&& parts,
           merged.index.try_emplace(gs.keys[g], merged.keys.size());
       if (inserted) {
         merged.keys.push_back(std::move(gs.keys[g]));
-        merged.rows.push_back(std::move(gs.rows[g]));
         merged.partials.push_back(std::move(gs.partials[g]));
         continue;
       }
       size_t m = it->second;
-      merged.rows[m].insert(merged.rows[m].end(), gs.rows[g].begin(),
-                            gs.rows[g].end());
       for (size_t i = 0; i < specs.size(); ++i) {
         MergePartial(specs[i], std::move(gs.partials[g][i]),
                      &merged.partials[m][i]);

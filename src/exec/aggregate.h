@@ -14,23 +14,20 @@
 
 namespace cypher {
 
-// Partial aggregation: count/sum/min/max/collect decomposed into partial
-// states that are built per morsel (or per anchor tile) and merged in
-// morsel order, so group first-occurrence order, collect() element order,
-// DISTINCT first-occurrence order, integer-sum overflow behaviour and
-// min/max tie-breaks all replicate the sequential executor exactly. Shared
-// by the parallel projection (TryParallelAggregate) and the streamed
-// MATCH -> aggregate pass (read_clauses.cc).
+// Partial aggregation for the streamed MATCH -> aggregate pass
+// (read_clauses.cc): count/sum/min/max decomposed into partial states that
+// are built per anchor tile and merged in tile order, so group
+// first-occurrence order, integer-sum overflow behaviour and min/max
+// tie-breaks all replicate the sequential executor exactly.
 
 /// Aggregates with a partial/merge decomposition. Anything else — avg()
-/// (a float sum), aggregates nested inside larger expressions, unknown
-/// names — carries kGeneric and is finalized by re-running the sequential
-/// evaluator over the group's merged row list.
-enum class AggOp { kGeneric, kCountStar, kCount, kSum, kMin, kMax, kCollect };
+/// (a float sum), collect(), DISTINCT, aggregates nested inside larger
+/// expressions, unknown names — carries kGeneric and keeps the
+/// materialized path.
+enum class AggOp { kGeneric, kCountStar, kCount, kSum, kMin, kMax };
 
 struct AggSpec {
   AggOp op = AggOp::kGeneric;
-  bool distinct = false;
   const Expr* arg = nullptr;  // null for kCountStar / kGeneric
 };
 
@@ -58,26 +55,23 @@ struct SumStats {
   bool Overflowed() const;
 };
 
-/// Partial state of one (group, item) pair within one task's morsel run,
-/// merged across tasks in morsel order.
+/// Partial state of one (group, item) pair within one tile, merged across
+/// tiles in tile order.
 struct Partial {
-  int64_t count = 0;          // kCountStar / kCount
-  SumStats sum;               // kSum (integers only)
-  Value best;                 // kMin / kMax
+  int64_t count = 0;  // kCountStar / kCount
+  SumStats sum;       // kSum (integers only)
+  Value best;         // kMin / kMax
   bool has_best = false;
-  std::vector<Value> values;  // kCollect, and every DISTINCT variant
-                              //   (first-occurrence order within the morsel)
-  ValueSet seen;              // DISTINCT: local dedup
   /// The fast path met something it cannot decompose exactly — an argument
   /// evaluation error, or a float / non-number in sum() (whose stepwise
-  /// int-overflow check is order-entangled with the float path). Finalize
-  /// re-runs the sequential evaluator for this group, reproducing its value
-  /// or its error verbatim.
+  /// int-overflow check is order-entangled with the float path). The
+  /// streamed pass then declines and the materialized path reruns the pair,
+  /// reproducing its value or its error verbatim.
   bool fallback = false;
 };
 
 /// Folds one row's argument value — or its evaluation error, which flags
-/// the generic fallback — into `p`. count(*) and kGeneric never get here
+/// the fallback — into `p`. count(*) and kGeneric never get here
 /// (see UpdatePartial).
 void FoldArgument(const AggSpec& spec, Result<Value> arg, Partial* p);
 
@@ -93,7 +87,7 @@ void UpdatePartial(const AggSpec& spec, Partial* p, const ArgFn& arg) {
   FoldArgument(spec, arg(), p);
 }
 
-/// Folds `next` (the later morsel) into `into` (the earlier), preserving
+/// Folds `next` (the later tile) into `into` (the earlier), preserving
 /// sequential row order everywhere order matters.
 void MergePartial(const AggSpec& spec, Partial&& next, Partial* into);
 
@@ -101,13 +95,11 @@ void MergePartial(const AggSpec& spec, Partial&& next, Partial* into);
 /// none); the only error is integer overflow in sum().
 Result<Value> FinalizePartial(const AggSpec& spec, Partial&& p);
 
-/// One task's (or the merged) grouping state: groups in first-occurrence
-/// order, each with its key, its member rows (ascending; the streamed pass
-/// has no table to re-read and leaves them empty), and one Partial per
-/// projection item (key items keep an unused kGeneric partial).
+/// One tile's (or the merged) grouping state: groups in first-occurrence
+/// order, each with its key and one Partial per projection item (key items
+/// keep an unused kGeneric partial).
 struct GroupSet {
   std::vector<std::vector<Value>> keys;
-  std::vector<std::vector<size_t>> rows;
   std::vector<std::vector<Partial>> partials;
   std::unordered_map<std::vector<Value>, size_t, ValueVecHash, ValueVecEq>
       index;
@@ -117,8 +109,8 @@ struct GroupSet {
   size_t Group(const std::vector<Value>& key, size_t num_items);
 };
 
-/// Folds per-task group sets into one, in task order. First occurrence
-/// across ordered tasks is first occurrence across rows, so the merged
+/// Folds per-tile group sets into one, in tile order. First occurrence
+/// across ordered tiles is first occurrence across rows, so the merged
 /// group order is exactly the sequential group order. `global` creates the
 /// empty-key group up front: an ungrouped aggregate has one output row even
 /// when no row arrives.

@@ -87,32 +87,30 @@ struct EvalOptions {
   size_t max_rows = 0;
 
   /// Watchdog handle: the interpreter polls it between clauses and the
-  /// matcher/parallel loops poll it at their choice points. A tripped token
-  /// aborts the statement with kDeadlineExceeded / kAborted and rolls it
-  /// back like any other failure. Default-constructed = never cancels.
+  /// matcher and its anchor tiles poll it at their choice points. A tripped
+  /// token aborts the statement with kDeadlineExceeded / kAborted and rolls
+  /// it back like any other failure. Default-constructed = never cancels.
   CancelToken cancel;
 
-  // ---- Morsel-driven parallel read execution --------------------------------
+  // ---- Anchor-tile parallel MATCH ------------------------------------------
   //
-  // The read-only fragment (MATCH enumeration, projection, partial
-  // aggregation, and the match phase of MERGE ALL / MERGE SAME) can fan out
-  // across a worker pool; results are re-merged in morsel order, so the
-  // driving table is byte-identical to the sequential one. Updating clauses
-  // always apply sequentially, exactly as the paper specifies. Legacy MERGE
-  // never parallelizes: it reads its own writes record by record.
+  // MATCH (and the match phase of MERGE ALL / MERGE SAME) can split the
+  // first path's label or all-nodes anchor scan into ordered tiles and run
+  // them across a worker pool; tile outputs are re-merged in order, so the
+  // driving table is byte-identical to the sequential one (a streamed
+  // MATCH -> aggregate pass folds each tile into its own partials, merged
+  // in tile order). Projections and updating clauses always run
+  // sequentially. Legacy MERGE never parallelizes: it reads its own writes
+  // record by record.
 
-  /// Worker threads for the parallel read path, including the calling
+  /// Worker threads for the parallel MATCH path, including the calling
   /// thread. 0 or 1 = fully sequential (the default: parallelism is opt-in
   /// per statement or per session).
   size_t parallel_workers = 0;
 
-  /// Work-unit size: anchor-scan domain positions (anchor-partitioned
-  /// clauses) or driving-table rows (row-partitioned clauses) per morsel.
-  size_t parallel_morsel_size = 256;
-
-  /// Minimum estimated work (records x anchor cost from the compiled plan,
-  /// or input rows for projection/aggregation) before the parallel path
-  /// engages; below it, fan-out overhead beats the win.
+  /// Minimum estimated work (records x anchor cost from the compiled plan)
+  /// before the parallel path engages; below it, fan-out overhead beats the
+  /// win.
   size_t parallel_min_cost = 2048;
 };
 

@@ -111,8 +111,8 @@ Status ExecMatch(ExecContext* ctx, const MatchClause& clause, Table* table) {
   if (table->num_rows() > 0) {
     std::shared_ptr<const CompiledMatch> compiled =
         MatchPlan(*ctx, clause, *table);
-    // Fans out through the morsel pool when the planner says so; applies
-    // the clause's WHERE and OPTIONAL null-padding either way.
+    // Fans out over anchor tiles when the planner says so; applies the
+    // clause's WHERE and OPTIONAL null-padding either way.
     EvalContext ec = ctx->Eval();
     std::optional<ParallelPlan> plan = PlanParallelMatch(
         ctx->options, *ec.graph, *compiled, table->num_rows());
@@ -293,32 +293,7 @@ Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
     return keys;
   };
 
-  // The per-row (and per-group partial) work below is read-only, so large
-  // tables fan out across the morsel pool; the sequential loops remain both
-  // the semantics reference and the small-table path.
-  std::vector<ProjItemView> item_views;
-  item_views.reserve(items.size());
-  for (const ProjItem& item : items) {
-    item_views.push_back({item.expr, &item.alias, item.has_agg});
-  }
-
-  bool parallel_done = false;
   if (!aggregated) {
-    CYPHER_ASSIGN_OR_RETURN(
-        parallel_done,
-        TryParallelProject(ec, ctx->options, *table, item_views, body.order_by,
-                           &out, has_order ? &sort_keys : nullptr));
-  } else {
-    CYPHER_ASSIGN_OR_RETURN(
-        parallel_done,
-        TryParallelAggregate(ec, ctx->options, *table, item_views,
-                             body.order_by, &out,
-                             has_order ? &sort_keys : nullptr));
-  }
-  if (parallel_done) {
-    // Rows (and aligned sort keys) are already in `out`, byte-identical to
-    // the sequential loops below.
-  } else if (!aggregated) {
     // Hoist name resolution out of the row loop (RowEval falls back to the
     // generic evaluator for anything beyond `u` / `u.prop`).
     std::vector<RowEval> fast;
@@ -508,7 +483,7 @@ bool StreamsIntoProjection(const SingleQuery& part) {
       case AggOp::kSum:
       case AggOp::kMin:
       case AggOp::kMax:
-        if (spec.distinct || !IsStreamOperand(*spec.arg, vars)) return false;
+        if (!IsStreamOperand(*spec.arg, vars)) return false;
         break;
       default:
         return false;
@@ -556,7 +531,7 @@ Result<bool> ExecStreamedAggregate(
     size_t matches = 0;
     bool declined = false;
   };
-  std::vector<TaskState> tasks(AnchorTiles(plan_ptr));
+  std::vector<TaskState> tasks(plan.has_value() ? plan->tiles : 1);
   const WhereEval where(ec, *table, match.where.get());
   Status st = StreamMatches(
       ec, ctx->Match(), plan_ptr, *table, *compiled, where,

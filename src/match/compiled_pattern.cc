@@ -99,50 +99,10 @@ class Compiler {
     }
     out.memo_slots = memo_slots_;
     out.input_slots = input_slots_;
-    ProfileExpansion(&out);
     return out;
   }
 
  private:
-  /// Classifies the conjunction's var-length / shortest-path legs for the
-  /// parallel executor (see CompiledMatch::expand_safe) and estimates their
-  /// per-start fan-out work. The estimate only has to rank expansions
-  /// against parallel_min_cost, so a capped average-degree power is enough.
-  void ProfileExpansion(CompiledMatch* out) const {
-    constexpr size_t kCostCap = size_t{1} << 20;
-    constexpr int64_t kHopsCap = 8;
-    size_t nodes = graph_.num_nodes();
-    size_t degree =
-        nodes == 0 ? 0 : (2 * graph_.num_rels() + nodes - 1) / nodes;
-    for (const CompiledPath& path : out->paths) {
-      if (path.impossible) continue;
-      if (path.source->function != PathFunction::kNone) {
-        // BFS levels split across workers: work is bounded by one sweep of
-        // the reachable graph per start candidate.
-        out->expand_safe = true;
-        out->expand_cost = std::max(
-            out->expand_cost, std::min(kCostCap, nodes + graph_.num_rels()));
-        continue;
-      }
-      for (const auto& [rel, node] : path.steps) {
-        if (!rel.source->var_length) continue;
-        if (!rel.source->variable.empty() &&
-            rel.var_class != VarClass::kBind) {
-          continue;  // already-bound list variable: semantic error, no walk
-        }
-        int64_t hops = rel.source->max_hops < 0
-                           ? kHopsCap
-                           : std::min(rel.source->max_hops, kHopsCap);
-        size_t cost = 1;
-        for (int64_t h = 0; h < hops; ++h) {
-          cost = std::min(kCostCap, cost * std::max<size_t>(degree, 2));
-        }
-        out->expand_safe = true;
-        out->expand_cost = std::max(out->expand_cost, cost);
-      }
-    }
-  }
-
   bool Bound(const std::string& name) const {
     return !name.empty() &&
            (earlier_vars_.count(name) > 0 || is_bound_(name));

@@ -129,16 +129,6 @@ struct CompiledMatch {
   size_t memo_slots = 0;   // row-dependent filter cache slots to allocate
   size_t input_slots = 0;  // kCheckInput value cache slots to allocate
   bool impossible = false; // some pattern can never match
-  /// Parallel-expansion classification for the executor's expand mode:
-  /// `expand_safe` marks a conjunction with at least one var-length or
-  /// shortest-path leg whose frontier may be fanned out across workers
-  /// (the leg binds its own variables — a leg checked against an existing
-  /// binding raises a semantic error before any walk). `expand_cost` is a
-  /// saturating estimate of per-start expansion work — average-degree ^
-  /// capped-hops for walks, nodes + rels for a BFS — and 1 when no such
-  /// leg exists; the planner compares it against parallel_min_cost.
-  bool expand_safe = false;
-  size_t expand_cost = 1;
 };
 
 /// Compile-time knobs that depend on how the compiled match will be driven.

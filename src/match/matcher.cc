@@ -6,10 +6,8 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "eval/evaluator.h"
 #include "match/compiled_pattern.h"
-#include "match/trail_arena.h"
 #include "value/compare.h"
 
 namespace cypher {
@@ -17,14 +15,6 @@ namespace cypher {
 namespace {
 
 const Value kNullValue;
-
-/// Parallel-expansion tuning: seed the var-length DFS deeper until at least
-/// `workers * kExpandTasksPerWorker` tasks exist (small tasks absorb skew
-/// from work stealing), give up past kMaxSeedDepth, and only fan a BFS
-/// level out when its frontier holds at least kMinBfsFrontier nodes.
-constexpr int64_t kMaxSeedDepth = 4;
-constexpr size_t kExpandTasksPerWorker = 4;
-constexpr size_t kMinBfsFrontier = 4;
 
 /// A candidate traversal step: an alive relationship leaving `from` toward
 /// `to` (direction already resolved).
@@ -180,14 +170,10 @@ class MatchEngine {
 
   /// The wanted value of one filter: the compile-time constant, or the
   /// record-level memo (row-dependent expressions are evaluated at most
-  /// once per record). `memo` overrides the engine's own memo table —
-  /// parallel BFS workers pass a private copy so lazy fills never race.
-  Result<const Value*> FilterValue(const CompiledFilter& filter,
-                                   std::vector<std::optional<Value>>* memo =
-                                       nullptr) {
+  /// once per record).
+  Result<const Value*> FilterValue(const CompiledFilter& filter) {
     if (filter.is_constant) return &filter.constant;
-    if (memo == nullptr) memo = &memo_;
-    std::optional<Value>& slot = (*memo)[filter.memo_slot];
+    std::optional<Value>& slot = memo_[filter.memo_slot];
     if (!slot.has_value()) {
       CYPHER_ASSIGN_OR_RETURN(Value v, Evaluate(ctx_, input_, *filter.expr));
       slot = std::move(v);
@@ -198,11 +184,9 @@ class MatchEngine {
   /// Pattern property filters are evaluated against the input record only
   /// (pattern-internal variables are not visible, as in Cypher).
   Result<bool> PropsFilterPass(const std::vector<CompiledFilter>& filters,
-                               const PropertyMap& stored,
-                               std::vector<std::optional<Value>>* memo =
-                                   nullptr) {
+                               const PropertyMap& stored) {
     for (const CompiledFilter& filter : filters) {
-      CYPHER_ASSIGN_OR_RETURN(const Value* want, FilterValue(filter, memo));
+      CYPHER_ASSIGN_OR_RETURN(const Value* want, FilterValue(filter));
       const Value& have =
           filter.key == kNoSymbol ? kNullValue : stored.Get(filter.key);
       if (CypherEquals(have, *want) != Tri::kTrue) return false;
@@ -218,8 +202,7 @@ class MatchEngine {
     return PropsFilterPass(pattern.filters, graph_.node(id).props);
   }
 
-  Result<bool> RelMatches(const CompiledRel& pattern, RelId id,
-                          std::vector<std::optional<Value>>* memo = nullptr) {
+  Result<bool> RelMatches(const CompiledRel& pattern, RelId id) {
     const RelData& rel = graph_.rel(id);
     if (!pattern.types.empty()) {
       bool any = false;
@@ -231,7 +214,7 @@ class MatchEngine {
       }
       if (!any) return false;
     }
-    return PropsFilterPass(pattern.filters, rel.props, memo);
+    return PropsFilterPass(pattern.filters, rel.props);
   }
 
   bool RelUsable(RelId id) const {
@@ -390,19 +373,23 @@ class MatchEngine {
            (rel_src.max_hops < 0 || level < rel_src.max_hops)) {
       CYPHER_RETURN_NOT_OK(cancel_gate_.Check());
       std::vector<NodeId> next;
-      if (options_.expand_workers > 1 && frontier.size() >= kMinBfsFrontier) {
-        CYPHER_RETURN_NOT_OK(ExpandBfsLevelParallel(rel_pattern, frontier,
-                                                    level, &state, &next));
-      } else {
-        for (NodeId n : frontier) {
-          RelCandidateCursor cursor(graph_, n, rel_pattern.direction);
-          RelCandidate cand;
-          while (cursor.Next(&cand)) {
-            if (!RelUsable(cand.rel)) continue;  // trail constraint
-            CYPHER_ASSIGN_OR_RETURN(bool ok,
-                                    RelMatches(rel_pattern, cand.rel));
-            if (!ok) continue;
-            MergeBfsEdge(n, cand.rel, cand.to, level, &state, &next);
+      for (NodeId n : frontier) {
+        RelCandidateCursor cursor(graph_, n, rel_pattern.direction);
+        RelCandidate cand;
+        while (cursor.Next(&cand)) {
+          if (!RelUsable(cand.rel)) continue;  // trail constraint
+          CYPHER_ASSIGN_OR_RETURN(bool ok, RelMatches(rel_pattern, cand.rel));
+          if (!ok) continue;
+          // A first discovery sets the distance and enqueues the target; an
+          // equal-distance rediscovery appends another shortest predecessor
+          // (for allShortestPaths).
+          auto [it, inserted] = state.dist.try_emplace(cand.to.value,
+                                                       level + 1);
+          if (inserted) {
+            state.parents[cand.to.value].emplace_back(n, cand.rel);
+            next.push_back(cand.to);
+          } else if (it->second == level + 1) {
+            state.parents[cand.to.value].emplace_back(n, cand.rel);
           }
         }
       }
@@ -410,74 +397,6 @@ class MatchEngine {
       ++level;
     }
     return state;
-  }
-
-  /// Applies one candidate edge to the BFS state exactly as the sequential
-  /// level loop does: a first discovery sets the distance and enqueues the
-  /// target, an equal-distance rediscovery appends another shortest
-  /// predecessor (for allShortestPaths).
-  void MergeBfsEdge(NodeId from, RelId rel, NodeId to, int64_t level,
-                    BfsState* state, std::vector<NodeId>* next) {
-    auto [it, inserted] = state->dist.try_emplace(to.value, level + 1);
-    if (inserted) {
-      state->parents[to.value].emplace_back(from, rel);
-      next->push_back(to);
-    } else if (it->second == level + 1) {
-      state->parents[to.value].emplace_back(from, rel);
-    }
-  }
-
-  /// Morsel-splits one BFS level: workers take contiguous frontier slices
-  /// and record passing candidate edges — a pure read of the graph plus a
-  /// private filter-memo copy, so no BFS state is shared. The merge then
-  /// replays edges in slice order, i.e. the exact sequential visit order,
-  /// so dist/parents/next come out identical to the one-worker loop.
-  Status ExpandBfsLevelParallel(const CompiledRel& rel_pattern,
-                                const std::vector<NodeId>& frontier,
-                                int64_t level, BfsState* state,
-                                std::vector<NodeId>* next) {
-    size_t num_tasks = std::min(
-        frontier.size(), options_.expand_workers * kExpandTasksPerWorker);
-    size_t slice = (frontier.size() + num_tasks - 1) / num_tasks;
-    num_tasks = (frontier.size() + slice - 1) / slice;
-    std::vector<std::vector<BfsEdge>> edges(num_tasks);
-    std::vector<Status> statuses(num_tasks);
-    ThreadPool::Shared().Run(
-        num_tasks, options_.expand_workers, [&](size_t t) {
-          std::vector<std::optional<Value>> memo = memo_;
-          CancelGate gate(ctx_.cancel);
-          size_t begin = t * slice;
-          size_t end = std::min(frontier.size(), begin + slice);
-          for (size_t i = begin; i < end; ++i) {
-            RelCandidateCursor cursor(graph_, frontier[i],
-                                      rel_pattern.direction);
-            RelCandidate cand;
-            while (cursor.Next(&cand)) {
-              if (Status cst = gate.Check(); !cst.ok()) {
-                statuses[t] = std::move(cst);
-                return;
-              }
-              if (!RelUsable(cand.rel)) continue;
-              Result<bool> ok = RelMatches(rel_pattern, cand.rel, &memo);
-              if (!ok.ok()) {
-                statuses[t] = ok.status();
-                return;
-              }
-              if (!*ok) continue;
-              edges[t].push_back(BfsEdge{frontier[i], cand.rel, cand.to});
-            }
-          }
-        });
-    for (size_t t = 0; t < num_tasks; ++t) {
-      // Lowest failing slice = the error sequential execution hits first.
-      CYPHER_RETURN_NOT_OK(statuses[t]);
-    }
-    for (const std::vector<BfsEdge>& task_edges : edges) {
-      for (const BfsEdge& e : task_edges) {
-        MergeBfsEdge(e.from, e.rel, e.to, level, state, next);
-      }
-    }
-    return Status::OK();
   }
 
   /// Enumerates shortest paths from the BFS source to `target`
@@ -717,20 +636,13 @@ class MatchEngine {
       return Status::SemanticError("variable-length relationship variable '" +
                                    rel_src.variable + "' is already bound");
     }
-    if (options_.expand_workers > 1 && !stopped_) {
-      CYPHER_ASSIGN_OR_RETURN(
-          bool handled,
-          TryVarLengthParallel(cpath, step_idx, cur, path, pattern_idx));
-      if (handled) return Status::OK();
-    }
     std::vector<RelId> hops;
     return VarLengthFrom(cpath, step_idx, cur, 0, &hops, path, pattern_idx);
   }
 
   /// The terminate half of one var-length state: if the walk may end at
   /// `cur`, binds the hop list / end node and continues with the rest of
-  /// the pattern. Split out of VarLengthFrom so an emit-only parallel task
-  /// can replay exactly this piece of a shallow state.
+  /// the pattern.
   Status TryTerminate(const CompiledPath& cpath, size_t step_idx, NodeId cur,
                       const std::vector<RelId>& hops, PathValue* path,
                       size_t pattern_idx) {
@@ -800,146 +712,6 @@ class MatchEngine {
     return Status::OK();
   }
 
-  // ---- Parallel var-length fan-out ------------------------------------------
-
-  /// Seeds the fan-out: walks the expansion tree in the sequential engine's
-  /// pre-order down to `depth_limit`, recording an emit-only task for every
-  /// terminable shallow state and a full subtree task at the cutoff. On a
-  /// filter-evaluation error mid-seed the arena records it as positioned
-  /// after the tasks created so far (exactly where sequential execution
-  /// would raise it) and `*aborted` stops the seeding.
-  Status SeedVarLength(const CompiledPath& cpath, size_t step_idx, NodeId cur,
-                       int64_t count, int64_t depth_limit,
-                       std::vector<RelId>* hops, std::vector<NodeId>* nodes,
-                       TrailArena* arena, bool* aborted) {
-    const auto& [rel_pattern, node_pattern] = cpath.steps[step_idx];
-    const RelPattern& rel_src = *rel_pattern.source;
-    if (count >= depth_limit) {
-      TrailTask task;
-      task.node = cur;
-      task.count = count;
-      task.hops = *hops;
-      task.nodes = *nodes;
-      arena->AddTask(std::move(task));
-      return Status::OK();
-    }
-    if (count >= rel_src.min_hops) {
-      // The bound-end check is pure, so seeding can prune unterminable
-      // states; NodeMatches can evaluate filters and stays in the task.
-      const Value* bound = BoundValue(node_pattern);
-      if (bound == nullptr || (bound->is_node() && bound->AsNode() == cur)) {
-        TrailTask task;
-        task.node = cur;
-        task.count = count;
-        task.emit_only = true;
-        task.hops = *hops;
-        task.nodes = *nodes;
-        arena->AddTask(std::move(task));
-      }
-    }
-    if (rel_src.max_hops >= 0 && count >= rel_src.max_hops) {
-      return Status::OK();
-    }
-    RelCandidateCursor cursor(graph_, cur, rel_pattern.direction);
-    RelCandidate cand;
-    while (cursor.Next(&cand)) {
-      if (std::find(hops->begin(), hops->end(), cand.rel) != hops->end()) {
-        continue;
-      }
-      if (!RelUsable(cand.rel)) continue;
-      Result<bool> rel_ok = RelMatches(rel_pattern, cand.rel);
-      if (!rel_ok.ok()) {
-        arena->SetSeedError(rel_ok.status());
-        *aborted = true;
-        return Status::OK();
-      }
-      if (!*rel_ok) continue;
-      used_rels_.push_back(cand.rel);
-      hops->push_back(cand.rel);
-      nodes->push_back(cand.to);
-      Status st = SeedVarLength(cpath, step_idx, cand.to, count + 1,
-                                depth_limit, hops, nodes, arena, aborted);
-      nodes->pop_back();
-      hops->pop_back();
-      used_rels_.pop_back();
-      CYPHER_RETURN_NOT_OK(st);
-      if (*aborted) return Status::OK();
-    }
-    return Status::OK();
-  }
-
-  /// Fans the var-length expansion at `cur` out across the shared thread
-  /// pool: seeds ordered frontier tasks, runs each in a private worker
-  /// engine restored from a checkpoint of this engine's state, then drains
-  /// the per-task buffers in task-index order — byte-identical emission to
-  /// the sequential walk. Returns false (untouched state) when the frontier
-  /// is too small to be worth fanning out.
-  Result<bool> TryVarLengthParallel(const CompiledPath& cpath,
-                                    size_t step_idx, NodeId cur,
-                                    PathValue* path, size_t pattern_idx) {
-    const size_t target = options_.expand_workers * kExpandTasksPerWorker;
-    TrailArena arena;
-    for (int64_t depth = 1;; ++depth) {
-      TrailArena attempt;
-      bool aborted = false;
-      std::vector<RelId> hops;
-      std::vector<NodeId> nodes;
-      CYPHER_RETURN_NOT_OK(SeedVarLength(cpath, step_idx, cur, 0, depth,
-                                         &hops, &nodes, &attempt, &aborted));
-      size_t subtrees = 0;
-      for (size_t i = 0; i < attempt.size(); ++i) {
-        if (!attempt.task(i).emit_only) ++subtrees;
-      }
-      arena = std::move(attempt);
-      // Stop deepening once the walk tree is exhausted (no subtrees left to
-      // split), the task budget is met, or an error cut seeding short.
-      if (aborted || subtrees == 0) break;
-      if (arena.size() >= target || depth >= kMaxSeedDepth) break;
-    }
-    if (arena.size() < 2 && arena.seed_error().ok()) return false;
-    ThreadPool::Shared().Run(
-        arena.size(), options_.expand_workers, [&](size_t i) {
-          const TrailTask& t = arena.task(i);
-          std::vector<MatchAssignment>* buf = arena.buffer(i);
-          MatchSink collect =
-              [buf](const MatchAssignment& assignment) -> Result<bool> {
-            buf->push_back(assignment);
-            return true;
-          };
-          MatchOptions worker_options = options_;
-          worker_options.expand_workers = 0;  // workers never re-fan
-          MatchEngine worker(ctx_, input_, compiled_, worker_options, collect,
-                             morsel_);
-          // Restore the checkpoint: full assignment stack, trail stack plus
-          // this task's walk prefix, and the memo/input caches (snapshotted
-          // after seeding, so seed-time fills carry over; lazily filled
-          // copies diverge without racing).
-          worker.assigned_ = assigned_;
-          worker.memo_ = memo_;
-          worker.input_cache_ = input_cache_;
-          worker.used_rels_ = used_rels_;
-          worker.used_rels_.insert(worker.used_rels_.end(), t.hops.begin(),
-                                   t.hops.end());
-          PathValue worker_path = *path;
-          for (size_t k = 0; k < t.hops.size(); ++k) {
-            worker_path.rels.push_back(t.hops[k]);
-            worker_path.nodes.push_back(t.nodes[k]);
-          }
-          std::vector<RelId> hops = t.hops;
-          Status st =
-              t.emit_only
-                  ? worker.TryTerminate(cpath, step_idx, t.node, hops,
-                                        &worker_path, pattern_idx)
-                  : worker.VarLengthFrom(cpath, step_idx, t.node, t.count,
-                                         &hops, &worker_path, pattern_idx);
-          arena.set_status(i, std::move(st));
-        });
-    bool stop = false;
-    CYPHER_RETURN_NOT_OK(arena.Drain(sink_, &stop));
-    if (stop) stopped_ = true;
-    return true;
-  }
-
   const EvalContext& ctx_;
   const Bindings& input_;
   const CompiledMatch& compiled_;
@@ -959,8 +731,8 @@ class MatchEngine {
   /// Per-record cache of driving-record variable values, indexed by
   /// input_slot (see PrefetchInputs).
   std::vector<std::optional<Value>> input_cache_;
-  /// Amortized watchdog poll for this engine's walks (one per thread: the
-  /// parallel fan-outs give every worker engine or task its own gate).
+  /// Amortized watchdog poll for this engine's walks (one per thread: every
+  /// anchor tile runs its own engine).
   CancelGate cancel_gate_;
   bool stopped_ = false;
 };

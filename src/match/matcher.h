@@ -18,12 +18,6 @@ namespace cypher {
 
 struct MatchOptions {
   MatchMode mode = MatchMode::kRelUnique;
-  /// Worker budget for fanning one var-length expansion or shortest-path
-  /// BFS level out across the shared thread pool; 0/1 runs the walk
-  /// sequentially. Set only by the parallel executor (expand mode) — the
-  /// graph must be in a parallel-read region while a match with
-  /// expand_workers > 1 runs. Emission order is byte-identical either way.
-  size_t expand_workers = 0;
   /// The pinned committed epoch this match reads (0 = latest state / no
   /// MVCC session). Set from EvalOptions::read_pin by ExecContext::Match;
   /// fanned-out helpers inherit the actual pin through the thread pool, so
@@ -89,7 +83,7 @@ Status MatchCompiled(const EvalContext& ctx, const Bindings& bindings,
 /// A contiguous slice [begin, end) of the first path's anchor-scan domain:
 /// label-index bucket positions for a kLabelScan anchor, node slots for a
 /// kAllScan anchor (see AnchorScanDomain). The parallel executor splits the
-/// domain into fixed-size morsels; concatenating every morsel's matches in
+/// domain into contiguous tiles; concatenating every tile's matches in
 /// range order is byte-identical to the unrestricted enumeration.
 struct AnchorMorsel {
   size_t begin = 0;

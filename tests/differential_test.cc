@@ -1,12 +1,11 @@
 // Differential harness: serial-vs-parallel byte equality plus
 // rewrite-equivalence fuzzing.
 //
-// Part one (the original suite): the parallel executor promises
-// byte-identical rendered tables regardless of worker count or morsel
-// size. Seeded random graphs (query_gen.cc) crossed with seeded random
-// read-only queries run sequentially and under several parallel
-// configurations including the expand mode; legacy vs revised semantics
-// are cross-checked on the same read-only corpus.
+// Part one (the original suite): the anchor-tile parallel MATCH promises
+// byte-identical rendered tables regardless of worker count. Seeded
+// random graphs (query_gen.cc) crossed with seeded random read-only
+// queries run sequentially and under 1, 2 and 8 workers; legacy vs
+// revised semantics are cross-checked on the same read-only corpus.
 //
 // Part two (RewriteFuzz): an equivalence oracle over the update
 // semantics. Every corpus statement — read AND update — is rewritten by
@@ -61,31 +60,21 @@ const char* SemName(SemanticsMode semantics) {
   return semantics == SemanticsMode::kLegacy ? "legacy" : "revised";
 }
 
-struct ParallelKnobs {
-  size_t workers;
-  size_t morsel;
-};
-
-// The sweep deliberately includes workers=1 (parallel plumbing, sequential
-// schedule), a single-row morsel, and a high worker count that exceeds the
-// row count of most generated intermediates.
-const ParallelKnobs kConfigs[] = {{1, 256}, {2, 16}, {8, 1}, {8, 256}};
-
-// The rewrite oracle's config sweep: sequential, plus two parallel
-// configurations that cover the partitioned and single-row-morsel paths.
-const ParallelKnobs kOracleConfigs[] = {{0, 256}, {2, 16}, {8, 1}};
+// The worker counts every gate sweeps: workers=1 (parallel plumbing,
+// sequential schedule), and 2 and 8 workers, whose derived tiles are a
+// single anchor position on most generated graphs (domain < workers x 8).
+const size_t kWorkerCounts[] = {1, 2, 8};
 
 /// Runs `query` on a copy of `base` and returns the rendered table, or the
 /// error status as a string so failures are compared byte-for-byte too.
 std::string RunCase(const PropertyGraph& base, const std::string& query,
-                    size_t workers, size_t morsel,
+                    size_t workers,
                     SemanticsMode semantics = SemanticsMode::kRevised,
                     size_t max_rows = 0) {
   GraphDatabase db;
   db.graph() = base;
   db.options().semantics = semantics;
   db.options().parallel_workers = workers;
-  db.options().parallel_morsel_size = morsel;
   db.options().parallel_min_cost = 1;  // engage on every eligible clause
   db.options().max_rows = max_rows;
   auto result = db.Execute(query);
@@ -127,13 +116,11 @@ std::string BagArtifact(const GraphDatabase& db,
 }
 
 std::string RunBagArtifact(const PropertyGraph& base, const std::string& query,
-                           size_t workers, size_t morsel,
-                           SemanticsMode semantics) {
+                           size_t workers, SemanticsMode semantics) {
   GraphDatabase db;
   db.graph() = base;
   db.options().semantics = semantics;
   db.options().parallel_workers = workers;
-  db.options().parallel_morsel_size = morsel;
   db.options().parallel_min_cost = 1;
   auto result = db.Execute(query);
   return BagArtifact(db, result);
@@ -154,12 +141,11 @@ PropertyGraph MakeGraph(uint64_t seed) {
 /// greppable line so CI output is actionable without a local rerun.
 std::string ReproLine(const std::string& kind, uint64_t gseed, uint64_t qseed,
                       const std::string& rule, SemanticsMode semantics,
-                      size_t workers, size_t morsel,
-                      const std::string& query) {
+                      size_t workers, const std::string& query) {
   std::ostringstream os;
   os << "REPRO kind=" << kind << " gseed=" << gseed << " qseed=" << qseed
      << " rule=\"" << rule << "\" semantics=" << SemName(semantics)
-     << " workers=" << workers << " morsel=" << morsel << " query=\"" << query
+     << " workers=" << workers << " query=\"" << query
      << "\"";
   return os.str();
 }
@@ -210,19 +196,17 @@ TEST(DifferentialTest, SerialVsParallelByteIdentical) {
     for (uint64_t qs = 0; qs < kQueriesPerGraph; ++qs) {
       const uint64_t seed = gs * 1000 + qs;
       const std::string query = GenerateReadQuery(seed);
-      const std::string expected = RunCase(base, query, 0, 256);
+      const std::string expected = RunCase(base, query, 0);
       if (expected.rfind("ERROR:", 0) != 0) {
         ++succeeded;
         if (expected.find("\n") != expected.rfind("\n")) ++nonempty;
       }
-      for (const ParallelKnobs& cfg : kConfigs) {
-        const std::string got =
-            RunCase(base, query, cfg.workers, cfg.morsel);
+      for (size_t workers : kWorkerCounts) {
+        const std::string got = RunCase(base, query, workers);
         if (got != expected) {
           const std::string repro =
               ReproLine("serial-vs-parallel", gs, seed, "original",
-                        SemanticsMode::kRevised, cfg.workers, cfg.morsel,
-                        query);
+                        SemanticsMode::kRevised, workers, query);
           LogRepro(repro);
           ADD_FAILURE() << repro << "\n" << FirstDivergence(expected, got);
         }
@@ -248,13 +232,13 @@ TEST(DifferentialTest, LegacyVsRevisedReadOnlyAgree) {
       const uint64_t seed = gs * 1000 + qs;
       const std::string query = GenerateReadQuery(seed);
       const std::string legacy =
-          RunCase(base, query, 0, 256, SemanticsMode::kLegacy);
+          RunCase(base, query, 0, SemanticsMode::kLegacy);
       const std::string revised =
-          RunCase(base, query, 0, 256, SemanticsMode::kRevised);
+          RunCase(base, query, 0, SemanticsMode::kRevised);
       if (legacy != revised) {
         const std::string repro =
             ReproLine("legacy-vs-revised", gs, seed, "original",
-                      SemanticsMode::kLegacy, 0, 256, query);
+                      SemanticsMode::kLegacy, 0, query);
         LogRepro(repro);
         ADD_FAILURE() << repro << "\n" << FirstDivergence(revised, legacy);
       }
@@ -284,7 +268,7 @@ bool RunOracle(const PropertyGraph& base, const std::string& kind,
   for (SemanticsMode semantics :
        {SemanticsMode::kLegacy, SemanticsMode::kRevised}) {
     const std::string baseline =
-        RunBagArtifact(base, query, 0, 256, semantics);
+        RunBagArtifact(base, query, 0, semantics);
     // A failing seed still checks config-consistency of its own error, but
     // rewritten variants may word an equivalent error differently — the
     // equivalence claim covers behaviour, not message text.
@@ -294,14 +278,13 @@ bool RunOracle(const PropertyGraph& base, const std::string& kind,
         continue;
       }
       if (baseline_error && variant.rule != "original") continue;
-      for (const ParallelKnobs& cfg : kOracleConfigs) {
-        const std::string got = RunBagArtifact(base, variant.query,
-                                               cfg.workers, cfg.morsel,
-                                               semantics);
+      for (size_t workers : kWorkerCounts) {
+        const std::string got =
+            RunBagArtifact(base, variant.query, workers, semantics);
         if (got != baseline) {
           const std::string repro =
               ReproLine(kind, gseed, qseed, variant.rule, semantics,
-                        cfg.workers, cfg.morsel, variant.query);
+                        workers, variant.query);
           LogRepro(repro);
           ADD_FAILURE() << repro << "\n  seed query: " << query << "\n"
                         << FirstDivergence(baseline, got);
@@ -417,7 +400,7 @@ std::string WithStarVariant(const std::string& query) {
 
 /// `query` and its with-star-insert variant must render byte-identically
 /// — row order and error text included — in both semantics and the
-/// sequential, anchor-tile and single-row-morsel configurations.
+/// sequential and anchor-tile configurations.
 void ExpectStreamedMatchesMaterialized(const PropertyGraph& base,
                                        const std::string& query,
                                        size_t max_rows = 0) {
@@ -425,15 +408,15 @@ void ExpectStreamedMatchesMaterialized(const PropertyGraph& base,
   ASSERT_FALSE(barrier.empty()) << "with-star-insert did not fire: " << query;
   for (SemanticsMode semantics :
        {SemanticsMode::kLegacy, SemanticsMode::kRevised}) {
-    for (const ParallelKnobs& cfg : kOracleConfigs) {
-      const std::string want = RunCase(base, barrier, cfg.workers, cfg.morsel,
-                                       semantics, max_rows);
-      const std::string got = RunCase(base, query, cfg.workers, cfg.morsel,
-                                      semantics, max_rows);
+    for (size_t workers : kWorkerCounts) {
+      const std::string want =
+          RunCase(base, barrier, workers, semantics, max_rows);
+      const std::string got =
+          RunCase(base, query, workers, semantics, max_rows);
       if (got != want) {
         const std::string repro =
             ReproLine("streamed-vs-materialized", 0, 0, "with-star-insert",
-                      semantics, cfg.workers, cfg.morsel, query);
+                      semantics, workers, query);
         LogRepro(repro);
         ADD_FAILURE() << repro << "\n" << FirstDivergence(want, got);
       }
@@ -506,11 +489,10 @@ TEST(StreamedAggregate, AnchorCasesMatchMaterializedPath) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.query);
-    EXPECT_NE(RunCase(base, c.query, 0, 256, SemanticsMode::kRevised,
-                      c.max_rows)
+    EXPECT_NE(RunCase(base, c.query, 0, SemanticsMode::kRevised, c.max_rows)
                   .find(c.expect),
               std::string::npos)
-        << RunCase(base, c.query, 0, 256, SemanticsMode::kRevised, c.max_rows);
+        << RunCase(base, c.query, 0, SemanticsMode::kRevised, c.max_rows);
     ExpectStreamedMatchesMaterialized(base, c.query, c.max_rows);
   }
 
@@ -520,13 +502,12 @@ TEST(StreamedAggregate, AnchorCasesMatchMaterializedPath) {
       "MATCH (n:G) WHERE n.w >= 1 RETURN n.k AS g, count(*) AS c";
   for (SemanticsMode semantics :
        {SemanticsMode::kLegacy, SemanticsMode::kRevised}) {
-    for (const ParallelKnobs& cfg : kOracleConfigs) {
+    for (size_t workers : kWorkerCounts) {
       auto rows_out = [&](const std::string& query) {
         GraphDatabase db;
         db.graph() = base;
         db.options().semantics = semantics;
-        db.options().parallel_workers = cfg.workers;
-        db.options().parallel_morsel_size = cfg.morsel;
+        db.options().parallel_workers = workers;
         db.options().parallel_min_cost = 1;
         auto result = db.Execute("PROFILE " + query);
         EXPECT_TRUE(result.ok()) << query;
@@ -623,7 +604,7 @@ TEST(PlanCacheDifferential, InterpreterVsCachedByteIdentical) {
           for (const auto& run : runs) {
             if (run.got != expected) {
               const std::string repro =
-                  ReproLine(run.kind, gs, qs, "", semantics, 0, 256, query);
+                  ReproLine(run.kind, gs, qs, "", semantics, 0, query);
               LogRepro(repro);
               FAIL() << repro << "\n" << FirstDivergence(expected, run.got);
             }
@@ -667,7 +648,7 @@ TEST(PlanCacheDifferential, ParametrizedMatchesInline) {
         for (const auto& run : runs) {
           if (run.got != expected) {
             const std::string repro =
-                ReproLine(run.kind, gs, qs, "", SemanticsMode::kRevised, 0, 256,
+                ReproLine(run.kind, gs, qs, "", SemanticsMode::kRevised, 0,
                           cases[c].text);
             LogRepro(repro);
             FAIL() << repro << "\n"

@@ -1,9 +1,11 @@
-// Morsel-driven parallel read execution: thread-pool scheduling, anchor
-// morsel partitioning, transient hash anchors, and — the load-bearing
-// property — byte-identical output across every worker/morsel
-// configuration, including aggregation and the revised MERGE match phase.
+// Anchor-tile parallel MATCH: thread-pool scheduling, anchor morsel
+// partitioning, the derived tile plan, transient hash anchors, and — the
+// load-bearing property — byte-identical output across worker counts,
+// including the streamed aggregate pass and the revised MERGE match phase.
 
 #include <atomic>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -199,51 +201,126 @@ TEST(TransientIndexTest, ProbeResultsMatchScanSemantics) {
   EXPECT_EQ(rn.rows[0][0].AsInt(), 8);
 }
 
+// ---- Tile plan --------------------------------------------------------------
+
+/// The compiled plan of "MATCH <patterns>" over `g`.
+CompiledMatch CompileClause(const PropertyGraph& g, const std::string& clause,
+                            Query* keep_alive) {
+  EvalContext ctx{&g, nullptr};
+  return CompileMatch(ctx, Bindings(), PatternsOf(clause, keep_alive));
+}
+
+TEST(ParallelPlanTest, DerivesTilesFromDomainAndWorkers) {
+  PropertyGraph g;
+  for (int i = 0; i < 101; ++i) g.CreateNode({g.InternLabel("L")}, {});
+  g.CreateNode({g.InternLabel("One")}, {});
+  Query keep;
+  CompiledMatch scan = CompileClause(g, "MATCH (n:L)", &keep);
+  EvalOptions options;
+  options.parallel_min_cost = 1;
+
+  options.parallel_workers = 2;  // 16 wanted: 14 tiles of 7, a last of 3
+  std::optional<ParallelPlan> plan = PlanParallelMatch(options, g, scan, 1);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->domain, 101u);
+  EXPECT_EQ(plan->morsel, 7u);
+  EXPECT_EQ(plan->tiles, 15u);
+
+  options.parallel_workers = 8;  // 64 wanted: 50 tiles of 2, a last of 1
+  plan = PlanParallelMatch(options, g, scan, 1);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->morsel, 2u);
+  EXPECT_EQ(plan->tiles, 51u);
+
+  // A worker count whose x 8 would overflow: one position per tile. (Only
+  // the plan is built; no thread starts.)
+  options.parallel_workers = std::numeric_limits<size_t>::max();
+  plan = PlanParallelMatch(options, g, scan, 1);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->morsel, 1u);
+  EXPECT_EQ(plan->tiles, 101u);
+
+  // One worker, a one-position domain, or too little work: sequential.
+  options.parallel_workers = 1;
+  EXPECT_FALSE(PlanParallelMatch(options, g, scan, 1).has_value());
+  options.parallel_workers = 8;
+  Query keep_one;
+  CompiledMatch one = CompileClause(g, "MATCH (n:One)", &keep_one);
+  EXPECT_FALSE(PlanParallelMatch(options, g, one, 100).has_value());
+  options.parallel_min_cost = 1000;
+  EXPECT_FALSE(PlanParallelMatch(options, g, scan, 1).has_value());
+  EXPECT_TRUE(PlanParallelMatch(options, g, scan, 10).has_value());
+}
+
 // ---- EXPLAIN ----------------------------------------------------------------
+
+/// The details column of every EXPLAIN row, one line each.
+std::string ExplainDetails(GraphDatabase* db, const std::string& query) {
+  QueryResult r = RunOk(db, "EXPLAIN " + query);
+  std::string all;
+  for (const auto& row : r.rows) all += row[2].AsString() + "\n";
+  return all;
+}
 
 TEST(ParallelExplainTest, AnnotatesParallelMatch) {
   GraphDatabase db;
   db.options().parallel_workers = 4;
-  db.options().parallel_morsel_size = 128;
-  QueryResult r = RunOk(&db, "EXPLAIN MATCH (n) RETURN n");
-  std::string all;
-  for (const auto& row : r.rows) all += row[2].AsString() + "\n";
-  EXPECT_NE(all.find("parallel(workers=4, morsel=128)"), std::string::npos)
-      << all;
+  std::string all = ExplainDetails(&db, "MATCH (n) RETURN n");
+  EXPECT_NE(all.find("[parallel(workers=4)]"), std::string::npos) << all;
 }
 
-TEST(ParallelExplainTest, AnnotatesExpandSafePatterns) {
+TEST(ParallelExplainTest, AnnotatesLabelScanMatch) {
   GraphDatabase db;
+  ASSERT_TRUE(db.Run("CREATE (:User {id: 1})-[:R]->(:User {id: 2})").ok());
   db.options().parallel_workers = 4;
-  db.options().parallel_morsel_size = 128;
-  QueryResult r =
-      RunOk(&db, "EXPLAIN MATCH (a)-[*1..2]->(b) RETURN count(*) AS c");
-  std::string all;
-  for (const auto& row : r.rows) all += row[2].AsString() + "\n";
-  EXPECT_NE(all.find("parallel(workers=4, morsel=128, expand)"),
+  std::string all =
+      ExplainDetails(&db, "MATCH (u:User)-[:R]->(v) RETURN count(*) AS c");
+  EXPECT_NE(all.find("scan: label :User"), std::string::npos) << all;
+  EXPECT_NE(all.find("[parallel(workers=4)]"), std::string::npos) << all;
+}
+
+TEST(ParallelExplainTest, NoAnnotationOnIndexSeekOrBoundAnchor) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.Run("CREATE INDEX ON :User(id)").ok());
+  ASSERT_TRUE(db.Run("CREATE (:User {id: 1})-[:R]->(:User {id: 2})").ok());
+  db.options().parallel_workers = 4;
+  std::string seek = ExplainDetails(&db, "MATCH (u:User {id: 1}) RETURN u");
+  EXPECT_NE(seek.find("index: :User(id)"), std::string::npos) << seek;
+  EXPECT_EQ(seek.find("parallel("), std::string::npos) << seek;
+  // The first MATCH scans and splits; the second anchors on the bound `u`
+  // and runs each record's walk on one thread.
+  QueryResult bound = RunOk(
+      &db, "EXPLAIN MATCH (u:User) MATCH (u)-[:R]->(v) RETURN v");
+  ASSERT_GE(bound.rows.size(), 2u);
+  EXPECT_NE(bound.rows[0][2].AsString().find("parallel(workers=4)"),
             std::string::npos)
-      << all;
+      << bound.rows[0][2].AsString();
+  EXPECT_NE(bound.rows[1][2].AsString().find("bound: 'u'"), std::string::npos)
+      << bound.rows[1][2].AsString();
+  EXPECT_EQ(bound.rows[1][2].AsString().find("parallel("), std::string::npos)
+      << bound.rows[1][2].AsString();
 }
 
 TEST(ParallelExplainTest, NoAnnotationWhenSequential) {
   GraphDatabase db;
-  QueryResult r = RunOk(&db, "EXPLAIN MATCH (n) RETURN n");
-  std::string all;
-  for (const auto& row : r.rows) all += row[2].AsString() + "\n";
+  std::string all = ExplainDetails(&db, "MATCH (n) RETURN n");
   EXPECT_EQ(all.find("parallel("), std::string::npos) << all;
 }
 
 // ---- Determinism corpus -----------------------------------------------------
 
-/// Runs `query` on a copy of `base` under the given parallel knobs and
-/// returns the rendered result table (the byte-level artifact the ordering
-/// guarantee is stated over).
+/// Worker counts every determinism case sweeps: 1 is the sequential loop,
+/// and the derived tile plan gives 2 and 8 workers different tile sizes.
+constexpr size_t kWorkerCounts[] = {1, 2, 8};
+
+/// Runs `query` on a copy of `base` with `workers` workers and returns the
+/// rendered result table (the byte-level artifact the ordering guarantee is
+/// stated over).
 std::string RunConfig(const PropertyGraph& base, const std::string& query,
-                      size_t workers, size_t morsel) {
+                      size_t workers) {
   GraphDatabase db;
   db.graph() = base;
   db.options().parallel_workers = workers;
-  db.options().parallel_morsel_size = morsel;
   db.options().parallel_min_cost = 1;  // engage on every eligible clause
   QueryResult r = RunOk(&db, query);
   return RenderResult(db.graph(), r);
@@ -256,11 +333,11 @@ TEST(ParallelDeterminismTest, MatchProjectionAndAggregationCorpus) {
   const PropertyGraph base = seed_db.graph();
 
   const std::vector<std::string> corpus = {
-      // Plain scans and expansions (row + anchor morsel modes).
+      // Plain scans and expansions: the first path's scan splits into tiles.
       "MATCH (u:User)-[:ORDERED]->(p:Product) "
       "RETURN u.id AS uid, p.id AS pid",
       "MATCH (n) RETURN n.id AS id",
-      // WHERE inside the parallel sink.
+      // WHERE inside the tile tasks.
       "MATCH (u:User)-[:ORDERED]->(p:Product) WHERE p.id % 3 = 0 "
       "RETURN u.id AS uid, p.id AS pid",
       // OPTIONAL MATCH null extension, decided per record.
@@ -269,25 +346,25 @@ TEST(ParallelDeterminismTest, MatchProjectionAndAggregationCorpus) {
       // Two-hop join with cross-record dedup semantics.
       "MATCH (a:User)-[:ORDERED]->(p:Product)<-[:ORDERED]-(b:User) "
       "WHERE a.id < b.id RETURN count(*) AS c",
-      // Transient-hash probes under the parallel row loop.
+      // Transient-hash probes: not a scan anchor, so sequential.
       "UNWIND range(1, 120) AS x MATCH (u:User {id: x}) "
       "RETURN count(*) AS c",
-      // Row-parallel projection with ORDER BY / SKIP / LIMIT downstream.
+      // Projection with ORDER BY / SKIP / LIMIT over a tiled MATCH.
       "MATCH (u:User) RETURN u.id AS a, u.id * 2 + 1 AS b "
       "ORDER BY b DESC SKIP 5 LIMIT 20",
-      // DISTINCT over parallel projection output.
+      // DISTINCT over a tiled MATCH.
       "MATCH (u:User)-[:ORDERED]->(p:Product) WITH DISTINCT p.id AS pid "
       "RETURN pid ORDER BY pid",
-      // Partial aggregation: every fast-path aggregate, grouped.
+      // Materialized aggregation over a tiled MATCH, grouped.
       "MATCH (u:User)-[:ORDERED]->(p:Product) "
       "RETURN u.id AS uid, count(*) AS n, count(DISTINCT p.id) AS dp, "
       "sum(p.id) AS s, min(p.id) AS mn, max(p.id) AS mx, "
       "collect(p.id) AS ps ORDER BY uid",
-      // Global group, DISTINCT sum/collect, and the avg() generic fallback.
+      // Global group, DISTINCT sum/collect, and avg().
       "MATCH (u:User)-[:ORDERED]->(p:Product) "
       "RETURN count(*) AS n, sum(DISTINCT p.id) AS sd, avg(p.id) AS a, "
       "collect(DISTINCT p.id % 7) AS cd",
-      // min/max over ties (first-seen representative must win).
+      // min/max over ties in the streamed pass (first-seen must win).
       "MATCH (u:User)-[:ORDERED]->(p:Product) "
       "RETURN min(p.id % 4) AS mn, max(p.id % 4) AS mx, "
       "count(DISTINCT p.id % 4) AS d",
@@ -297,20 +374,18 @@ TEST(ParallelDeterminismTest, MatchProjectionAndAggregationCorpus) {
   };
 
   for (const std::string& query : corpus) {
-    const std::string expected = RunConfig(base, query, 0, 256);
-    for (size_t workers : {1ul, 2ul, 8ul}) {
-      for (size_t morsel : {1ul, 3ul, 64ul, 1024ul}) {
-        EXPECT_EQ(RunConfig(base, query, workers, morsel), expected)
-            << query << "\n  workers=" << workers << " morsel=" << morsel;
-      }
+    const std::string expected = RunConfig(base, query, 0);
+    for (size_t workers : kWorkerCounts) {
+      EXPECT_EQ(RunConfig(base, query, workers), expected)
+          << query << "\n  workers=" << workers;
     }
   }
 }
 
 TEST(ParallelDeterminismTest, SingleRowMorselWithMoreWorkersThanRows) {
-  // morsel=1 with workers far beyond the row count: every row is its own
-  // task, most workers never claim one, and the ordered merge and partial
-  // aggregation see a long run of single-row buffers.
+  // A domain smaller than workers x 8: every anchor position is its own
+  // tile, most workers never claim one, and the ordered merge and the
+  // streamed partials see a long run of single-match buffers.
   GraphDatabase seed_db;
   ASSERT_TRUE(workload::LoadRandomMarketplace(&seed_db, 5, 4, 12, 9).ok());
   const PropertyGraph base = seed_db.graph();
@@ -325,24 +400,58 @@ TEST(ParallelDeterminismTest, SingleRowMorselWithMoreWorkersThanRows) {
       "RETURN u.id AS uid, p.id AS pid",
   };
   for (const std::string& query : corpus) {
-    const std::string expected = RunConfig(base, query, 0, 256);
-    for (size_t workers : {8ul, 16ul}) {
-      EXPECT_EQ(RunConfig(base, query, workers, 1), expected)
+    const std::string expected = RunConfig(base, query, 0);
+    for (size_t workers : kWorkerCounts) {
+      EXPECT_EQ(RunConfig(base, query, workers), expected)
           << query << "\n  workers=" << workers;
     }
   }
 }
 
-TEST(ParallelDeterminismTest, VarLengthAndShortestPathExpandMode) {
-  // Few driving rows + costly var-length / BFS legs: the planner picks
-  // expand mode and the matcher fans the frontier, which must preserve the
-  // sequential trail enumeration order byte for byte.
+TEST(ParallelDeterminismTest, TileCountDoesNotDivideDomain) {
+  // 101 :L nodes: 2 workers cut 14 tiles of 7 and a last one of 3, 8 workers
+  // 50 tiles of 2 and a last one of 1 (ParallelPlanTest). The short last
+  // tile must neither drop nor repeat an anchor.
+  GraphDatabase seed_db;
+  ASSERT_TRUE(seed_db
+                  .Run("UNWIND range(0, 100) AS i "
+                       "CREATE (:L {id: i, k: i % 4, v: 100 - i})")
+                  .ok());
+  ASSERT_TRUE(seed_db
+                  .Run("MATCH (a:L), (b:L) WHERE b.id = (a.id * 7) % 101 "
+                       "CREATE (a)-[:R]->(b)")
+                  .ok());
+  const PropertyGraph base = seed_db.graph();
+
+  const std::vector<std::string> corpus = {
+      "MATCH (n:L) RETURN n.id AS id",
+      "MATCH (n:L) WHERE n.id > 95 RETURN n.id AS id",
+      "MATCH (n:L)-[:R]->(m) RETURN n.id AS a, m.id AS b",
+      "MATCH (n:L) RETURN n.k AS k, count(*) AS c, sum(n.v) AS s, "
+      "min(n.id) AS lo, max(n.id) AS hi",
+      "MATCH (n:L) OPTIONAL MATCH (n)-[:R]->(m:L {k: 0}) "
+      "RETURN n.id AS a, m.id AS b",
+  };
+  for (const std::string& query : corpus) {
+    const std::string expected = RunConfig(base, query, 0);
+    for (size_t workers : kWorkerCounts) {
+      EXPECT_EQ(RunConfig(base, query, workers), expected)
+          << query << "\n  workers=" << workers;
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, VarLengthAndShortestPathLegs) {
+  // The unindexed `{id: ...}` starts scan their label, so the anchor splits
+  // into tiles and each tile runs its var-length walks and BFS levels on
+  // one thread; the merged output must keep the sequential trail
+  // enumeration order byte for byte.
   GraphDatabase seed_db;
   ASSERT_TRUE(workload::LoadRandomMarketplace(&seed_db, 30, 20, 150, 7).ok());
   const PropertyGraph base = seed_db.graph();
 
   const std::vector<std::string> corpus = {
-      // Single anchored start: rows=1, all parallelism is in the frontier.
+      // One passing start: every other tile emits nothing.
       "MATCH (u:User {id: 1})-[:ORDERED*1..3]-(x) "
       "RETURN count(*) AS c, min(x.id) AS lo, max(x.id) AS hi",
       // Emission order exposed directly (no ORDER BY, no aggregation).
@@ -352,7 +461,7 @@ TEST(ParallelDeterminismTest, VarLengthAndShortestPathExpandMode) {
       "RETURN length(p) AS len, x.id AS xid",
       // collect() over the walk preserves emission order inside one cell.
       "MATCH (u:User {id: 1})-[*1..2]-(x) RETURN collect(x.id) AS xs",
-      // BFS levels split across workers.
+      // shortestPath / allShortestPaths after a tiled cross product.
       "MATCH (a:User {id: 1}), (b:User {id: 2}) "
       "MATCH p = shortestPath((a)-[*]-(b)) RETURN length(p) AS len",
       "MATCH (a:User {id: 1}), (b:Product {id: 5}) "
@@ -363,12 +472,10 @@ TEST(ParallelDeterminismTest, VarLengthAndShortestPathExpandMode) {
       "RETURN a.id AS a, b.id AS b, length(p) AS len",
   };
   for (const std::string& query : corpus) {
-    const std::string expected = RunConfig(base, query, 0, 256);
-    for (size_t workers : {2ul, 8ul}) {
-      for (size_t morsel : {1ul, 256ul}) {
-        EXPECT_EQ(RunConfig(base, query, workers, morsel), expected)
-            << query << "\n  workers=" << workers << " morsel=" << morsel;
-      }
+    const std::string expected = RunConfig(base, query, 0);
+    for (size_t workers : kWorkerCounts) {
+      EXPECT_EQ(RunConfig(base, query, workers), expected)
+          << query << "\n  workers=" << workers;
     }
   }
 }
@@ -378,12 +485,11 @@ TEST(ParallelDeterminismTest, RevisedMergeMatchPhase) {
   for (const char* keyword : {"MERGE ALL", "MERGE SAME"}) {
     const std::string query = workload::Example5Query(keyword);
 
-    auto run = [&](size_t workers, size_t morsel, std::string* rendered) {
+    auto run = [&](size_t workers, std::string* rendered) {
       GraphDatabase db;
       EXPECT_TRUE(
           workload::LoadRandomMarketplace(&db, 50, 30, 200, 9).ok());
       db.options().parallel_workers = workers;
-      db.options().parallel_morsel_size = morsel;
       db.options().parallel_min_cost = 1;
       QueryResult r = RunOk(&db, query, {{"rows", rows}});
       *rendered = RenderResult(db.graph(), r);
@@ -391,94 +497,92 @@ TEST(ParallelDeterminismTest, RevisedMergeMatchPhase) {
     };
 
     std::string expected_rendered;
-    const std::string expected_graph = run(0, 256, &expected_rendered);
-    for (size_t workers : {2ul, 8ul}) {
-      for (size_t morsel : {1ul, 64ul}) {
-        std::string rendered;
-        std::string graph = run(workers, morsel, &rendered);
-        EXPECT_EQ(graph, expected_graph)
-            << keyword << " workers=" << workers << " morsel=" << morsel;
-        EXPECT_EQ(rendered, expected_rendered)
-            << keyword << " workers=" << workers << " morsel=" << morsel;
-      }
+    const std::string expected_graph = run(0, &expected_rendered);
+    for (size_t workers : kWorkerCounts) {
+      std::string rendered;
+      std::string graph = run(workers, &rendered);
+      EXPECT_EQ(graph, expected_graph) << keyword << " workers=" << workers;
+      EXPECT_EQ(rendered, expected_rendered)
+          << keyword << " workers=" << workers;
     }
   }
 }
 
 // ---- Error determinism ------------------------------------------------------
 
-Status RunStatus(const std::string& query, const ValueMap& params,
-                 size_t workers) {
+/// Runs `query` over :N nodes carrying `d` = each of `values`, created in
+/// order (so label-bucket positions follow the list), with `workers`
+/// workers. Three or more values split into several anchor tiles.
+Result<QueryResult> RunOverNodes(const std::string& query,
+                                 const std::vector<Value>& values,
+                                 size_t workers) {
   GraphDatabase db;
+  Status created = db.Execute("UNWIND $vals AS v CREATE (:N {d: v})",
+                              {{"vals", Value::List(values)}})
+                       .status();
+  if (!created.ok()) return created;
   db.options().parallel_workers = workers;
-  db.options().parallel_morsel_size = 1;  // one row per partial
   db.options().parallel_min_cost = 1;
-  return db.Execute(query, params).status();
+  return db.Execute(query);
+}
+
+/// `query` must fail at every worker count, with the sequential message.
+void ExpectSameError(const std::string& query,
+                     const std::vector<Value>& values) {
+  Result<QueryResult> seq = RunOverNodes(query, values, 0);
+  ASSERT_FALSE(seq.ok()) << query;
+  for (size_t workers : kWorkerCounts) {
+    Result<QueryResult> par = RunOverNodes(query, values, workers);
+    ASSERT_FALSE(par.ok()) << query << " workers=" << workers;
+    EXPECT_EQ(par.status().ToString(), seq.status().ToString())
+        << query << " workers=" << workers;
+  }
 }
 
 TEST(ParallelDeterminismTest, IntegerSumOverflowSplitAcrossMorsels) {
   const int64_t kMax = std::numeric_limits<int64_t>::max();
-  const std::string query = "UNWIND $vals AS v RETURN sum(v) AS s";
-  // The overflowing prefix MAX+1 straddles a morsel boundary while the
-  // total (MAX - 1) is back in range: a naive partial-sum merge would
-  // succeed, the sequential stepwise semantics must error.
-  ValueMap overflow{{"vals", Value::List({Value::Int(kMax), Value::Int(1),
-                                          Value::Int(-2)})}};
-  Status seq = RunStatus(query, overflow, 0);
-  Status par = RunStatus(query, overflow, 8);
-  ASSERT_FALSE(seq.ok());
-  ASSERT_FALSE(par.ok());
-  EXPECT_EQ(par.ToString(), seq.ToString());
+  // The streamed pass folds each one-node tile into its own partial sum.
+  const std::string query = "MATCH (n:N) RETURN sum(n.d) AS s";
+  // The overflowing prefix MAX+1 straddles a tile boundary while the total
+  // (MAX - 1) is back in range: a naive partial-sum merge would succeed,
+  // the sequential stepwise semantics must error.
+  ExpectSameError(query, {Value::Int(kMax), Value::Int(1), Value::Int(-2)});
 
   // Stays in range at every prefix: identical value.
-  ValueMap in_range{{"vals", Value::List({Value::Int(kMax), Value::Int(-1),
-                                          Value::Int(-2)})}};
-  GraphDatabase db;
-  db.options().parallel_workers = 8;
-  db.options().parallel_morsel_size = 1;
-  db.options().parallel_min_cost = 1;
-  QueryResult r = RunOk(&db, query, in_range);
-  EXPECT_EQ(r.rows[0][0].AsInt(), kMax - 3);
+  for (size_t workers : kWorkerCounts) {
+    Result<QueryResult> r = RunOverNodes(
+        query, {Value::Int(kMax), Value::Int(-1), Value::Int(-2)}, workers);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows[0][0].AsInt(), kMax - 3) << "workers=" << workers;
+  }
 
   // A float in the mix does not disable the stepwise integer check: the
-  // parallel path must fall back and reproduce the sequential error.
-  ValueMap mixed{{"vals", Value::List({Value::Int(kMax), Value::Float(1.5),
-                                       Value::Int(1)})}};
-  Status seq_mixed = RunStatus(query, mixed, 0);
-  Status par_mixed = RunStatus(query, mixed, 8);
-  ASSERT_FALSE(seq_mixed.ok());
-  ASSERT_FALSE(par_mixed.ok());
-  EXPECT_EQ(par_mixed.ToString(), seq_mixed.ToString());
+  // streamed pass must decline and the rerun reproduce the sequential
+  // error.
+  ExpectSameError(query,
+                  {Value::Int(kMax), Value::Float(1.5), Value::Int(1)});
 
-  // All-float sums take the fallback and agree with the sequential value.
-  ValueMap floats{{"vals", Value::List({Value::Float(1.5), Value::Float(2.5),
-                                        Value::Int(4)})}};
-  GraphDatabase db2;
-  db2.options().parallel_workers = 8;
-  db2.options().parallel_morsel_size = 1;
-  db2.options().parallel_min_cost = 1;
-  QueryResult rf = RunOk(&db2, query, floats);
-  EXPECT_DOUBLE_EQ(rf.rows[0][0].AsFloat(), 8.0);
+  // All-float sums take the rerun and agree with the sequential value.
+  for (size_t workers : kWorkerCounts) {
+    Result<QueryResult> r = RunOverNodes(
+        query, {Value::Float(1.5), Value::Float(2.5), Value::Int(4)},
+        workers);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_DOUBLE_EQ(r->rows[0][0].AsFloat(), 8.0) << "workers=" << workers;
+  }
 }
 
 TEST(ParallelDeterminismTest, ExpressionErrorsMatchSequential) {
-  const std::string query = "UNWIND $vals AS d RETURN 10 / d AS q";
-  ValueMap vals{{"vals", Value::List({Value::Int(5), Value::Int(2),
-                                      Value::Int(0), Value::Int(1)})}};
-  Status seq = RunStatus(query, vals, 0);
-  Status par = RunStatus(query, vals, 8);
-  ASSERT_FALSE(seq.ok());
-  ASSERT_FALSE(par.ok());
-  EXPECT_EQ(par.ToString(), seq.ToString());
-
-  const std::string agg = "UNWIND $vals AS v RETURN sum(v) AS s";
-  ValueMap bad{{"vals", Value::List({Value::Int(1), Value::String("x"),
-                                     Value::Int(2)})}};
-  Status seq_agg = RunStatus(agg, bad, 0);
-  Status par_agg = RunStatus(agg, bad, 8);
-  ASSERT_FALSE(seq_agg.ok());
-  ASSERT_FALSE(par_agg.ok());
-  EXPECT_EQ(par_agg.ToString(), seq_agg.ToString());
+  // 10 / 0 fails in the third tile and 10 / 'x' in the fifth; whichever
+  // tile finishes first, the division by zero is the error reported.
+  const std::vector<Value> vals = {Value::Int(5), Value::Int(2),
+                                   Value::Int(0), Value::Int(1),
+                                   Value::String("x")};
+  ExpectSameError("MATCH (n:N) WHERE 10 / n.d > 1 RETURN n.d AS d", vals);
+  ExpectSameError("MATCH (n:N) RETURN 10 / n.d AS q", vals);
+  // A string in sum(): the streamed pass declines, the rerun raises.
+  ExpectSameError("MATCH (n:N) RETURN sum(n.d) AS s",
+                  {Value::Int(1), Value::String("x"), Value::Int(2)});
 }
 
 }  // namespace

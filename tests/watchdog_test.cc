@@ -1,6 +1,6 @@
 // Query watchdog: cooperative cancellation through CancelToken. An expired
 // deadline or an explicit Cancel() must unwind the interpreter, the
-// matcher's sequential walks and the parallel morsel loops with the right
+// matcher's sequential walks and the parallel anchor tiles with the right
 // status code, and a cancelled update statement must roll back completely.
 // The concurrent sections double as the TSan target for the cancellation
 // paths.
@@ -83,9 +83,8 @@ TEST(Watchdog, ExpiredDeadlineCancelsSequentialMatch) {
 TEST(Watchdog, ExpiredDeadlineCancelsParallelMatch) {
   GraphDatabase db;
   ASSERT_TRUE(BuildRandomGraph(&db, 22).ok());
-  db.options().parallel_workers = 4;
+  db.options().parallel_workers = 2;
   db.options().parallel_min_cost = 1;  // force the parallel path on
-  db.options().parallel_morsel_size = 4;
   std::string before = DumpGraph(db.graph());
   db.options().cancel = ExpiredDeadline();
   auto result = db.Execute(kExpensiveQuery);
@@ -145,9 +144,8 @@ TEST(Watchdog, TightDeadlineEventuallyFires) {
 TEST(Watchdog, ConcurrentCancelStress) {
   GraphDatabase db;
   ASSERT_TRUE(BuildRandomGraph(&db, 26).ok());
-  db.options().parallel_workers = 4;
+  db.options().parallel_workers = 2;
   db.options().parallel_min_cost = 1;
-  db.options().parallel_morsel_size = 4;
   std::string before = DumpGraph(db.graph());
 
   for (int round = 0; round < 30; ++round) {
