@@ -64,10 +64,35 @@ BENCHMARK(BM_ParallelTwoHop)
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
 
+/// A streamed grouped aggregate: the :P anchor scan splits into tiles, and
+/// each tile folds its matches into its own group table, merged in tile
+/// order. `groups` distinct keys over 32,768 nodes, so every tile meets
+/// (nearly) every group: the tiles x groups cost of the per-tile tables.
+void BM_ParallelScanIntoTileGroups(benchmark::State& state) {
+  GraphDatabase db;
+  (void)db.Run("UNWIND range(0, 32767) AS i CREATE (:P {g: i % " +
+               std::to_string(state.range(0)) + ", v: i % 100})");
+  EvalOptions options = ParallelOptions(state.range(1));
+  for (auto _ : state) {
+    auto r = db.Execute(
+        "MATCH (p:P) RETURN p.g AS g, count(*) AS n, sum(p.v) AS s, "
+        "max(p.v) AS mx",
+        {}, options);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel(WorkerLabel(state.range(1)));
+  state.SetItemsProcessed(state.iterations() * 32768);
+}
+BENCHMARK(BM_ParallelScanIntoTileGroups)
+    ->Args({64, 1})->Args({64, 2})->Args({64, 4})
+    ->Args({4096, 1})->Args({4096, 2})->Args({4096, 4})
+    ->Unit(benchmark::kMicrosecond);
+
 /// A tiled MATCH feeding a grouped count / sum / min / max / DISTINCT
-/// projection. count(DISTINCT) keeps the pair off the streamed pass, so the
-/// MATCH materializes its table and the aggregation runs sequentially.
-void BM_ParallelAggregation(benchmark::State& state) {
+/// projection. Only the anchor scan fans out: count(DISTINCT) keeps the
+/// pair off the streamed pass, so the MATCH materializes its table and the
+/// aggregation runs sequentially.
+void BM_ParallelScanThenMaterializedAgg(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0) / 8, 64,
                                         state.range(0), 3);
@@ -83,15 +108,15 @@ void BM_ParallelAggregation(benchmark::State& state) {
   state.SetLabel(WorkerLabel(state.range(1)));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ParallelAggregation)
+BENCHMARK(BM_ParallelScanThenMaterializedAgg)
     ->Args({4096, 1})->Args({4096, 2})->Args({4096, 4})->Args({4096, 8})
     ->Args({32768, 1})->Args({32768, 2})->Args({32768, 4})->Args({32768, 8})
     ->Unit(benchmark::kMicrosecond);
 
 /// One start node found by scanning :User for `id: 1` (tiled), then a
-/// var-length walk from it: the walk runs on the one tile that holds the
-/// start, so workers>1 can only split the scan.
-void BM_ParallelVarLength(benchmark::State& state) {
+/// var-length walk from it. Only the anchor scan fans out: the walk runs
+/// on the one tile that holds the start.
+void BM_ParallelScanThenVarLength(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), state.range(0) / 4,
                                         state.range(0) * 2, 5);
@@ -106,15 +131,15 @@ void BM_ParallelVarLength(benchmark::State& state) {
   state.SetLabel(WorkerLabel(state.range(1)));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ParallelVarLength)
+BENCHMARK(BM_ParallelScanThenVarLength)
     ->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({256, 8})
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
 
-/// shortestPath over a dense graph: the two endpoint scans of the first
-/// MATCH split into tiles, and the BFS of the second MATCH runs on one
-/// thread (its anchor is bound).
-void BM_ParallelBFS(benchmark::State& state) {
+/// shortestPath over a dense graph. Only the anchor scan of the first
+/// MATCH fans out (its endpoint scans split into tiles); the BFS of the
+/// second MATCH runs on one thread, because its anchor is bound.
+void BM_ParallelScanThenBFS(benchmark::State& state) {
   GraphDatabase db;
   (void)workload::LoadRandomMarketplace(&db, state.range(0), state.range(0) / 2,
                                         state.range(0) * 4, 11);
@@ -131,7 +156,7 @@ void BM_ParallelBFS(benchmark::State& state) {
   state.SetLabel(WorkerLabel(state.range(1)));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ParallelBFS)
+BENCHMARK(BM_ParallelScanThenBFS)
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Args({8192, 1})->Args({8192, 2})->Args({8192, 4})->Args({8192, 8})
     ->Unit(benchmark::kMicrosecond);

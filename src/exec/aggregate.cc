@@ -137,38 +137,39 @@ Result<Value> FinalizePartial(const AggSpec& spec, Partial&& p) {
   return Value::Null();
 }
 
-size_t GroupSet::Group(const std::vector<Value>& key, size_t num_items) {
-  auto it = index.find(key);
-  if (it != index.end()) return it->second;
-  size_t g = keys.size();
-  index.emplace(key, g);
-  keys.push_back(key);
-  partials.emplace_back(num_items);
-  return g;
+void GroupIndex::Grow() {
+  size_t capacity = slots_.empty() ? kMinSlots : 2 * slots_.size();
+  CYPHER_CHECK(capacity / 2 < std::numeric_limits<uint32_t>::max());
+  slots_.assign(capacity, kEmpty);
+  shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+  const size_t mask = capacity - 1;
+  for (size_t g = 0; g < hashes_.size(); ++g) {
+    size_t s = Home(hashes_[g]);
+    while (slots_[s] != kEmpty) s = (s + 1) & mask;
+    slots_[s] = static_cast<uint32_t>(g + 1);
+  }
 }
 
 GroupSet MergeGroupSets(std::vector<GroupSet>&& parts,
                         const std::vector<AggSpec>& specs, bool global) {
-  if (parts.size() == 1) {
-    GroupSet only = std::move(parts.front());
-    if (global && only.keys.empty()) only.Group({}, specs.size());
-    return only;
+  GroupSet merged = std::move(parts.front());
+  if (global && merged.size() == 0) {
+    merged.Group(GroupIndex::Hash(0, CopyKey(nullptr)), CopyKey(nullptr));
   }
-  GroupSet merged;
-  if (global) merged.Group({}, specs.size());
-  for (GroupSet& gs : parts) {
-    for (size_t g = 0; g < gs.keys.size(); ++g) {
-      auto [it, inserted] =
-          merged.index.try_emplace(gs.keys[g], merged.keys.size());
-      if (inserted) {
-        merged.keys.push_back(std::move(gs.keys[g]));
-        merged.partials.push_back(std::move(gs.partials[g]));
+  for (size_t t = 1; t < parts.size(); ++t) {
+    GroupSet& tile = parts[t];
+    for (size_t g = 0; g < tile.size(); ++g) {
+      size_t before = merged.size();
+      size_t m = merged.Group(tile.index.hash(g),
+                              MoveKey(tile.index.mutable_key(g)));
+      Partial* from = tile.partials_of(g);
+      Partial* into = merged.partials_of(m);
+      if (m == before) {  // first seen in this tile
+        std::move(from, from + specs.size(), into);
         continue;
       }
-      size_t m = it->second;
       for (size_t i = 0; i < specs.size(); ++i) {
-        MergePartial(specs[i], std::move(gs.partials[g][i]),
-                     &merged.partials[m][i]);
+        MergePartial(specs[i], std::move(from[i]), &into[i]);
       }
     }
   }

@@ -326,8 +326,9 @@ Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
                                    profile[i].rows_out))});
       }
     } else {
-      result.columns = combined.columns();
-      result.rows = combined.rows();
+      Table::Contents contents = std::move(combined).Release();
+      result.columns = std::move(contents.columns);
+      result.rows = std::move(contents.rows);
     }
     result.stats = ctx.stats;
     return result;

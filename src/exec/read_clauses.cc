@@ -2,7 +2,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -323,31 +322,26 @@ Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
         key_eval.emplace_back(ec, *table, *items[i].expr);
       }
     }
+    // Rows per group, in the index's first-occurrence order; the global
+    // group exists even for 0 rows.
     std::vector<std::vector<size_t>> groups;
-    std::vector<std::vector<Value>> group_keys;
-    std::unordered_map<std::vector<Value>, size_t, ValueVecHash, ValueVecEq>
-        group_index;
+    GroupIndex index(key_items.size());
+    bool inserted = false;
     if (key_items.empty()) {
-      groups.emplace_back();  // one global group, present even for 0 rows
-      group_keys.emplace_back();
+      index.FindOrInsert(GroupIndex::Hash(0, CopyKey(nullptr)),
+                         CopyKey(nullptr), &inserted);
+      groups.emplace_back();
     }
+    std::vector<Value> key(key_items.size());
     for (size_t r = 0; r < table->num_rows(); ++r) {
-      std::vector<Value> key;
-      key.reserve(key_items.size());
-      for (const RowEval& ke : key_eval) {
-        CYPHER_ASSIGN_OR_RETURN(Value v, ke.Eval(r));
-        key.push_back(std::move(v));
+      for (size_t k = 0; k < key_eval.size(); ++k) {
+        CYPHER_ASSIGN_OR_RETURN(key[k], key_eval[k].Eval(r));
       }
-      if (key_items.empty()) {
-        groups[0].push_back(r);
-        continue;
-      }
-      auto [it, inserted] = group_index.try_emplace(key, groups.size());
-      if (inserted) {
-        groups.emplace_back();
-        group_keys.push_back(std::move(key));
-      }
-      groups[it->second].push_back(r);
+      size_t g = index.FindOrInsert(
+          GroupIndex::Hash(key.size(), CopyKey(key.data())),
+          MoveKey(key.data()), &inserted);
+      if (inserted) groups.emplace_back();
+      groups[g].push_back(r);
     }
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       const std::vector<size_t>& rows = groups[gi];
@@ -358,7 +352,7 @@ Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
       size_t key_slot = 0;
       for (size_t i = 0; i < items.size(); ++i) {
         if (!items[i].has_agg) {
-          row[i] = group_keys[gi][key_slot++];
+          row[i] = std::move(index.mutable_key(gi)[key_slot++]);
         } else {
           CYPHER_ASSIGN_OR_RETURN(row[i],
                                   Evaluate(ec, rep, *items[i].expr, &scope));
@@ -377,12 +371,20 @@ Status ExecProjection(ExecContext* ctx, const ProjectionBody& body,
   if (body.distinct) {
     Table deduped = Table::WithColumns(out.columns());
     std::vector<std::vector<Value>> deduped_keys;
-    std::unordered_set<std::vector<Value>, ValueVecHash, ValueVecEq> seen;
+    GroupIndex seen(out.num_columns());
     for (size_t r = 0; r < out.num_rows(); ++r) {
-      if (seen.insert(out.row(r)).second) {
-        deduped.AddRow(out.row(r));
-        if (has_order) deduped_keys.push_back(std::move(sort_keys[r]));
+      Value* row = out.mutable_row(r).data();
+      bool inserted;
+      seen.FindOrInsert(GroupIndex::Hash(seen.arity(), CopyKey(row)),
+                        MoveKey(row), &inserted);
+      if (inserted && has_order) {
+        deduped_keys.push_back(std::move(sort_keys[r]));
       }
+    }
+    for (size_t g = 0; g < seen.size(); ++g) {
+      Value* row = seen.mutable_key(g);
+      deduped.AddRow({std::make_move_iterator(row),
+                      std::make_move_iterator(row + seen.arity())});
     }
     out = std::move(deduped);
     sort_keys = std::move(deduped_keys);
@@ -502,16 +504,19 @@ Result<bool> ExecStreamedAggregate(
   const ProjectionBody& body = *StreamableBody(*part.clauses[1]);
   EvalContext ec = ctx->Eval();
   const size_t num_items = body.items.size();
-  // Per item: the aggregate (kGeneric for a grouping key) and the operand
-  // it reads, resolved once.
-  std::vector<AggSpec> specs(num_items);
+  // Per item: the operand it reads, resolved once (none for count(*)).
+  // The items split into grouping keys and aggregates, each aggregate with
+  // its spec and one partial per group.
   std::vector<std::optional<MatchOperand>> operands(num_items);
   std::vector<size_t> key_items;
+  std::vector<size_t> agg_items;
+  std::vector<AggSpec> specs;  // per aggregate item
   for (size_t i = 0; i < num_items; ++i) {
     const Expr* operand = body.items[i].expr.get();
     if (ContainsAggregate(*operand)) {
-      specs[i] = ClassifyAggregate(*operand);
-      operand = specs[i].arg;
+      specs.push_back(ClassifyAggregate(*operand));
+      operand = specs.back().arg;
+      agg_items.push_back(i);
     } else {
       key_items.push_back(i);
     }
@@ -525,13 +530,17 @@ Result<bool> ExecStreamedAggregate(
   std::optional<ParallelPlan> plan =
       PlanParallelMatch(ctx->options, *ec.graph, *compiled, table->num_rows());
   const ParallelPlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
-  struct TaskState {
+  // Written on every match by the worker running the tile: one cache line
+  // each, so adjacent tiles on different workers do not false-share.
+  struct alignas(64) TaskState {
     GroupSet groups;
-    std::vector<Value> key;  // scratch
+    std::vector<const Value*> key;  // scratch: the row's key operands
     size_t matches = 0;
     bool declined = false;
   };
-  std::vector<TaskState> tasks(plan.has_value() ? plan->tiles : 1);
+  std::vector<TaskState> tasks(
+      plan.has_value() ? plan->tiles : 1,
+      TaskState{GroupSet(key_items.size(), agg_items.size())});
   const WhereEval where(ec, *table, match.where.get());
   Status st = StreamMatches(
       ec, ctx->Match(), plan_ptr, *table, *compiled, where,
@@ -545,17 +554,18 @@ Result<bool> ExecStreamedAggregate(
             ts.declined = true;  // the key would need the generic rules
             return false;
           }
-          ts.key.push_back(*v);
+          ts.key.push_back(v);
         }
-        std::vector<Partial>& partials =
-            ts.groups.partials[ts.groups.Group(ts.key, num_items)];
-        for (size_t i = 0; i < num_items; ++i) {
-          if (specs[i].op == AggOp::kGeneric) continue;  // a grouping key
-          UpdatePartial(specs[i], &partials[i], [&]() -> Result<Value> {
-            if (const Value* v = operands[i]->Eval(0, assignment)) return *v;
+        auto key = [&ts](size_t k) -> const Value& { return *ts.key[k]; };
+        Partial* partials = ts.groups.partials_of(
+            ts.groups.Group(GroupIndex::Hash(ts.key.size(), key), key));
+        for (size_t a = 0; a < agg_items.size(); ++a) {
+          UpdatePartial(specs[a], &partials[a], [&]() -> Result<Value> {
+            const MatchOperand& operand = *operands[agg_items[a]];
+            if (const Value* v = operand.Eval(0, assignment)) return *v;
             return Status::ExecutionError("operand needs the generic rules");
           });
-          if (partials[i].fallback) {
+          if (partials[a].fallback) {
             ts.declined = true;
             return false;
           }
@@ -580,16 +590,16 @@ Result<bool> ExecStreamedAggregate(
   for (const ReturnItem& item : body.items) aliases.push_back(item.alias);
   Table out = Table::WithColumns(aliases);
   std::vector<std::vector<Value>> sort_keys;
-  for (size_t g = 0; g < merged.keys.size(); ++g) {
+  for (size_t g = 0; g < merged.size(); ++g) {
+    Value* key = merged.index.mutable_key(g);
+    Partial* partials = merged.partials_of(g);
     std::vector<Value> row(num_items);
-    size_t key_slot = 0;
-    for (size_t i = 0; i < num_items; ++i) {
-      if (specs[i].op == AggOp::kGeneric) {
-        row[i] = std::move(merged.keys[g][key_slot++]);
-      } else {
-        CYPHER_ASSIGN_OR_RETURN(
-            row[i], FinalizePartial(specs[i], std::move(merged.partials[g][i])));
-      }
+    for (size_t k = 0; k < key_items.size(); ++k) {
+      row[key_items[k]] = std::move(key[k]);
+    }
+    for (size_t a = 0; a < agg_items.size(); ++a) {
+      CYPHER_ASSIGN_OR_RETURN(row[agg_items[a]],
+                              FinalizePartial(specs[a], std::move(partials[a])));
     }
     if (!body.order_by.empty()) {
       std::vector<Value> keys;

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -60,6 +61,16 @@ class Table {
   const Value& At(size_t row, size_t col) const { return rows_[row][col]; }
 
   void Clear() { rows_.clear(); }
+
+  /// The header and rows, moved out; the table is left empty.
+  struct Contents {
+    std::vector<std::string> columns;
+    std::vector<std::vector<Value>> rows;
+  };
+  Contents Release() && {
+    index_.clear();
+    return {std::move(columns_), std::move(rows_)};
+  }
 
   /// Bag union (the paper's ⊎). Column sets must be equal; b's rows are
   /// re-ordered to a's column order.

@@ -3,6 +3,7 @@
 // load-bearing property — byte-identical output across worker counts,
 // including the streamed aggregate pass and the revised MERGE match phase.
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <optional>
@@ -436,6 +437,50 @@ TEST(ParallelDeterminismTest, TileCountDoesNotDivideDomain) {
     const std::string expected = RunConfig(base, query, 0);
     for (size_t workers : kWorkerCounts) {
       EXPECT_EQ(RunConfig(base, query, workers), expected)
+          << query << "\n  workers=" << workers;
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, StreamedAggregateManyGroups) {
+  // 250 int and 230 string keys spread over 1,000 :G nodes: every tile
+  // builds its own group table, and the tile-order merge must reproduce
+  // the sequential first-occurrence order (no ORDER BY exposes it) and
+  // every aggregate. The plan cache is off, so each run compiles fresh.
+  GraphDatabase seed_db;
+  ASSERT_TRUE(seed_db
+                  .Run("UNWIND range(0, 999) AS i "
+                       "CREATE (:G {ik: (i * 37) % 250, "
+                       "sk: 'k' + toString((i * 13) % 230), v: i % 17 - 8})")
+                  .ok());
+  const PropertyGraph base = seed_db.graph();
+
+  auto run = [&](const std::string& query, size_t workers) {
+    GraphDatabase db;
+    db.graph() = base;
+    db.options().use_plan_cache = false;
+    db.options().parallel_workers = workers;
+    db.options().parallel_min_cost = 1;
+    return RenderResult(db.graph(), RunOk(&db, query));
+  };
+  const std::vector<std::string> corpus = {
+      "MATCH (n:G) RETURN n.ik AS ik, count(*) AS c, sum(n.v) AS s, "
+      "min(n.v) AS lo, max(n.v) AS hi",
+      "MATCH (n:G) RETURN n.sk AS sk, count(n.v) AS c, sum(n.v) AS s",
+      "MATCH (n:G) WHERE n.v <> 0 "
+      "RETURN n.sk AS sk, n.ik AS ik, count(*) AS c, max(n.v) AS hi",
+  };
+  for (const std::string& query : corpus) {
+    QueryResult plan = RunOk(&seed_db, "EXPLAIN " + query);
+    ASSERT_FALSE(plan.rows.empty());
+    EXPECT_NE(plan.rows[0][2].AsString().find("aggregate: streamed"),
+              std::string::npos)
+        << query;
+    const std::string expected = run(query, 0);
+    EXPECT_GE(std::count(expected.begin(), expected.end(), '\n'), 200)
+        << query;
+    for (size_t workers : {1, 2, 4}) {
+      EXPECT_EQ(run(query, workers), expected)
           << query << "\n  workers=" << workers;
     }
   }
