@@ -2,7 +2,7 @@
 //
 //   catch-up      — a fresh follower bootstraps and drains an N-statement
 //                   backlog in one attach/poll cycle: statements/second of
-//                   the replay path (segment decode + ApplyRedoLog + one
+//                   the replay path (segment decode + ApplyImage + one
 //                   epoch publish per record)
 //   steady state  — leader commits with a caught-up follower attached,
 //                   pump + poll after every commit: the per-commit overhead

@@ -1,7 +1,7 @@
 // Engineering bench: what durability costs per committed statement.
 //
 //   no WAL            — the in-memory engine alone (baseline)
-//   memory WAL        — redo capture + framing + checksum, no disk
+//   memory WAL        — image encode + framing + checksum, no disk
 //   fsync-per-commit  — a real file, one fsync inside every commit
 //   group commit      — a real file, concurrent sessions sharing fsyncs
 //

@@ -126,7 +126,7 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
   std::shared_ptr<const CachedPlan> plan;
   std::vector<Value> literals;
   if (auto raw_hit = plan_cache_->LookupRaw(raw_key)) {
-    ++counters->hits;
+    counters->hits.fetch_add(1, std::memory_order_relaxed);
     plan = std::move(raw_hit->first);
     literals = std::move(raw_hit->second);
   } else {
@@ -162,7 +162,7 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
     std::string shape_key = fingerprint + "shape:" + ToCypher(ast);
     plan = plan_cache_->LookupShape(shape_key);
     if (plan == nullptr) {
-      ++counters->misses;
+      counters->misses.fetch_add(1, std::memory_order_relaxed);
       // Move the AST into the entry first, build the slots second: they
       // point into heap-allocated clause nodes, which do not move with the
       // Query object.
@@ -173,7 +173,7 @@ Result<QueryResult> GraphDatabase::ExecuteCached(std::string_view query,
       plan = std::move(fresh);
       plan_cache_->InsertShape(shape_key, plan);
     } else {
-      ++counters->hits;
+      counters->hits.fetch_add(1, std::memory_order_relaxed);
     }
     plan_cache_->InsertRaw(raw_key, plan, literals);
   }
@@ -306,12 +306,13 @@ Result<QueryResult> GraphDatabase::ExecuteDurableWith(const PlanExecutor& run) {
     // already be ahead of the durable prefix (group commit), and anything
     // committed now could silently vanish on recovery.
     CYPHER_RETURN_NOT_OK(wal_->writer.error());
-    graph_.BeginRedoCapture();
-    CommitHook hook = [&]() -> Status {
-      std::string redo = graph_.TakeRedoLog();
-      if (redo.empty()) return Status::OK();  // read-only: nothing to log
+    graph_.BeginDdlCapture();
+    CommitHook hook = [&](PropertyGraph::JournalMark mark) -> Status {
+      std::string image =
+          storage::EncodeStatementImage(graph_, mark, graph_.TakeDdlLog());
+      if (image.empty()) return Status::OK();  // read-only: nothing to log
       Result<uint64_t> appended =
-          wal_->writer.Append(storage::WalRecordType::kStatement, redo);
+          wal_->writer.Append(storage::WalRecordType::kStatement, image);
       if (!appended.ok()) return appended.status();
       lsn = *appended;
       logged = true;
@@ -321,7 +322,7 @@ Result<QueryResult> GraphDatabase::ExecuteDurableWith(const PlanExecutor& run) {
       return Status::OK();
     };
     Result<QueryResult> r = run(hook);
-    graph_.AbortRedoCapture();  // no-op when the hook consumed the log
+    graph_.AbortDdlCapture();  // no-op when the hook consumed the log
     if (r.ok()) {
       // The commit point: the statement is in memory and its record at
       // least appended. Publish the next epoch while still holding the

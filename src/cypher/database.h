@@ -289,9 +289,9 @@ class GraphDatabase {
   friend class ReadSession;
 
   /// Runs one statement's executor under the WAL session: execution lock,
-  /// redo capture, the commit hook that appends (and, per sync mode,
-  /// fsyncs) the statement record. The executor runs the interpreter, with
-  /// or without a cached plan. On success the new epoch is published
+  /// DDL capture, the commit hook that encodes and appends (and, per sync
+  /// mode, fsyncs) the statement image. The executor runs the interpreter,
+  /// with or without a cached plan. On success the new epoch is published
   /// (MVCC) and the auto-checkpoint threshold consulted.
   using PlanExecutor = std::function<Result<QueryResult>(const CommitHook&)>;
   Result<QueryResult> ExecuteDurableWith(const PlanExecutor& run);

@@ -377,7 +377,7 @@ Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
   // it here, and a logging failure rolls back — the log never runs behind
   // the committed state.
   if (commit_hook != nullptr) {
-    if (Status st = commit_hook(); !st.ok()) return fail(st);
+    if (Status st = commit_hook(mark); !st.ok()) return fail(st);
   }
 
   graph->CommitTo(mark);

@@ -31,8 +31,9 @@ struct QueryResult {
 /// before its journal commits. A durable session logs the statement here
 /// (the write-ahead property: a statement reaches the log strictly before
 /// it becomes visible as committed); a non-OK return rolls the statement
-/// back exactly like a validation failure.
-using CommitHook = std::function<Status()>;
+/// back exactly like a validation failure. The argument is the statement's
+/// journal mark: the entries after it name every slot the statement touched.
+using CommitHook = std::function<Status(PropertyGraph::JournalMark)>;
 
 /// Executes a parsed statement: output(Q, G) of Section 8.
 ///

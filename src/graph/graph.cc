@@ -9,9 +9,10 @@ namespace cypher {
 
 namespace {
 
-void SortUnique(std::vector<Symbol>* labels) {
-  std::sort(labels->begin(), labels->end());
-  labels->erase(std::unique(labels->begin(), labels->end()), labels->end());
+template <typename T>
+void SortUnique(std::vector<T>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
 }
 
 // Adjacency lists stay sorted by rel id, so link/unlink are binary searches
@@ -81,8 +82,8 @@ PropertyGraph::PropertyGraph(const PropertyGraph& other)
                     std::memory_order_relaxed);
   journal_ = other.journal_;
   journaling_ = other.journaling_;
-  redo_log_ = other.redo_log_;
-  redo_capture_ = other.redo_capture_;
+  ddl_log_ = other.ddl_log_;
+  ddl_capture_ = other.ddl_capture_;
 }
 
 PropertyGraph& PropertyGraph::operator=(const PropertyGraph& other) {
@@ -144,10 +145,10 @@ void PropertyGraph::StealFrom(PropertyGraph* other) noexcept {
   other->published_node_count_ = 0;
   other->published_rel_count_ = 0;
   other->published_.store(nullptr, std::memory_order_relaxed);
-  redo_log_ = std::move(other->redo_log_);
-  redo_capture_ = other->redo_capture_;
-  other->redo_log_.clear();
-  other->redo_capture_ = false;
+  ddl_log_ = std::move(other->ddl_log_);
+  ddl_capture_ = other->ddl_capture_;
+  other->ddl_log_.clear();
+  other->ddl_capture_ = false;
 }
 
 void PropertyGraph::DestroyVersions() {
@@ -329,19 +330,14 @@ void PropertyGraph::AssertMutable() const {
                "graph mutated inside a parallel read region");
 }
 
-void PropertyGraph::RedoAppend(std::string line) {
-  redo_log_ += line;
-  redo_log_ += '\n';
-}
-
-std::string PropertyGraph::RedoLabels(
-    const std::vector<Symbol>& labels) const {
-  std::string out;
-  for (Symbol label : labels) {
-    out += ':';
-    out += LabelName(label);
-  }
-  return out;
+void PropertyGraph::CaptureDdl(const char* verb, Symbol label, Symbol key) {
+  if (!ddl_capture_) return;
+  ddl_log_ += verb;
+  ddl_log_ += " :";
+  ddl_log_ += LabelName(label);
+  ddl_log_ += ' ';
+  ddl_log_ += KeyName(key);
+  ddl_log_ += '\n';
 }
 
 // ---- Creation -------------------------------------------------------------
@@ -360,11 +356,6 @@ NodeId PropertyGraph::CreateNode(std::vector<Symbol> labels,
   for (Symbol label : created.labels) AddToLabelIndex(id, label);
   IndexNode(id);
   Record({.kind = OpKind::kCreateNode, .entity = EntityRef::Node(id)});
-  if (redo_capture_) {
-    RedoAppend("node+ " + std::to_string(id.value) +
-               RedoLabels(created.labels) + " " +
-               DescribeProps(*this, created.props));
-  }
   return id;
 }
 
@@ -382,17 +373,11 @@ Result<RelId> PropertyGraph::CreateRel(NodeId src, NodeId tgt, Symbol type,
   data.src = src;
   data.tgt = tgt;
   data.props = std::move(props);
-  RelData& created = rels_.Append(std::move(data));
+  rels_.Append(std::move(data));
   rel_chains_.EnsureSize(rels_.size());
   alive_rels_.fetch_add(1, std::memory_order_relaxed);
   RelinkRel(id);
   Record({.kind = OpKind::kCreateRel, .entity = EntityRef::Rel(id)});
-  if (redo_capture_) {
-    RedoAppend("rel+ " + std::to_string(id.value) + " " +
-               std::to_string(src.value) + " " + std::to_string(tgt.value) +
-               " :" + TypeName(type) + " " +
-               DescribeProps(*this, created.props));
-  }
   return id;
 }
 
@@ -476,10 +461,6 @@ bool PropertyGraph::AddLabel(NodeId id, Symbol label) {
   Record({.kind = OpKind::kAddLabel,
           .entity = EntityRef::Node(id),
           .symbol = label});
-  if (redo_capture_) {
-    RedoAppend("label+ " + std::to_string(id.value) + " :" +
-               LabelName(label));
-  }
   return true;
 }
 
@@ -498,18 +479,12 @@ bool PropertyGraph::RemoveLabel(NodeId id, Symbol label) {
   Record({.kind = OpKind::kRemoveLabel,
           .entity = EntityRef::Node(id),
           .symbol = label});
-  if (redo_capture_) {
-    RedoAppend("label- " + std::to_string(id.value) + " :" +
-               LabelName(label));
-  }
   return true;
 }
 
 bool PropertyGraph::SetProperty(EntityRef entity, Symbol key, Value value) {
   AssertMutable();
   PropertyMap& props = MutableProps(entity);
-  Value redo_value;
-  if (redo_capture_) redo_value = value;
   Value old = props.Get(key);
   if (!props.Set(key, std::move(value))) return false;
   if (entity.kind == EntityRef::Kind::kNode) {
@@ -529,12 +504,6 @@ bool PropertyGraph::SetProperty(EntityRef entity, Symbol key, Value value) {
           .entity = entity,
           .symbol = key,
           .old_value = std::move(old)});
-  if (redo_capture_) {
-    RedoAppend(std::string("prop ") +
-               (entity.kind == EntityRef::Kind::kNode ? "N " : "R ") +
-               std::to_string(entity.id) + " " + KeyName(key) + " " +
-               redo_value.ToString());
-  }
   return true;
 }
 
@@ -545,22 +514,26 @@ void PropertyGraph::ReplaceProperties(EntityRef entity, PropertyMap props) {
           .entity = entity,
           .old_props = target});
   if (entity.kind == EntityRef::Kind::kNode) {
+    // Only keys whose value changes are indexed again: the entry of an
+    // unchanged value stays valid, and image replay replaces the whole map
+    // of every node a statement touched.
     const NodeData& data = node(entity.AsNode());
     for (PropertyIndex& index : property_indexes_) {
-      if (std::binary_search(data.labels.begin(), data.labels.end(),
-                             index.label) &&
-          !target.Get(index.key).is_null()) {
-        ++index.stale_hint;
+      if (!std::binary_search(data.labels.begin(), data.labels.end(),
+                              index.label)) {
+        continue;
+      }
+      const Value& old = target.Get(index.key);
+      const Value& now = props.Get(index.key);
+      if (old.type() == now.type() && GroupEquals(old, now)) continue;
+      if (!old.is_null()) ++index.stale_hint;
+      if (!now.is_null()) {
+        index.buckets[HashValue(now)].push_back(entity.AsNode());
+        ++index.entries;
       }
     }
   }
   target = std::move(props);
-  if (entity.kind == EntityRef::Kind::kNode) IndexNode(entity.AsNode());
-  if (redo_capture_) {
-    RedoAppend(std::string("props ") +
-               (entity.kind == EntityRef::Kind::kNode ? "N " : "R ") +
-               std::to_string(entity.id) + " " + DescribeProps(*this, target));
-  }
 }
 
 const PropertyMap& PropertyGraph::Properties(EntityRef entity) const {
@@ -579,7 +552,6 @@ void PropertyGraph::DeleteRel(RelId id) {
   data.alive = false;
   data.props.Clear();
   alive_rels_.fetch_sub(1, std::memory_order_relaxed);
-  if (redo_capture_) RedoAppend("rel- " + std::to_string(id.value));
 }
 
 void PropertyGraph::DeleteNode(NodeId id) {
@@ -610,7 +582,6 @@ void PropertyGraph::DeleteNodeForce(NodeId id) {
   data.labels.clear();
   data.props.Clear();
   alive_nodes_.fetch_sub(1, std::memory_order_relaxed);
-  if (redo_capture_) RedoAppend("node- " + std::to_string(id.value));
 }
 
 NodeId PropertyGraph::AppendTombstoneNode() {
@@ -734,6 +705,30 @@ void PropertyGraph::RollbackTo(JournalMark mark) {
   if (journal_.empty()) journaling_ = false;
 }
 
+PropertyGraph::TouchedSlots PropertyGraph::TouchedSince(
+    JournalMark mark) const {
+  TouchedSlots out;
+  out.node_base = static_cast<uint32_t>(nodes_.size());
+  out.rel_base = static_cast<uint32_t>(rels_.size());
+  for (size_t i = mark; i < journal_.size(); ++i) {
+    const JournalOp& op = journal_[i];
+    if (op.entity.kind == EntityRef::Kind::kNode) {
+      out.nodes.push_back(op.entity.AsNode());
+      if (op.kind == OpKind::kCreateNode) {
+        out.node_base = std::min(out.node_base, op.entity.id);
+      }
+    } else {
+      out.rels.push_back(op.entity.AsRel());
+      if (op.kind == OpKind::kCreateRel) {
+        out.rel_base = std::min(out.rel_base, op.entity.id);
+      }
+    }
+  }
+  SortUnique(&out.nodes);
+  SortUnique(&out.rels);
+  return out;
+}
+
 void PropertyGraph::CommitTo(JournalMark mark) {
   AssertMutable();
   CYPHER_CHECK(mark <= journal_.size());
@@ -777,9 +772,7 @@ void PropertyGraph::AddToLabelIndex(NodeId id, Symbol label) {
 void PropertyGraph::CreateIndex(Symbol label, Symbol key) {
   AssertMutable();
   if (FindPropertyIndex(label, key) != nullptr) return;
-  if (redo_capture_) {
-    RedoAppend("index+ :" + LabelName(label) + " " + KeyName(key));
-  }
+  CaptureDdl("index+", label, key);
   index_epoch_.fetch_add(1, std::memory_order_relaxed);
   PropertyIndex index;
   index.label = label;
@@ -881,9 +874,7 @@ void PropertyGraph::DropIndex(Symbol label, Symbol key) {
       property_indexes_.erase(property_indexes_.begin() +
                               static_cast<ptrdiff_t>(i));
       index_epoch_.fetch_add(1, std::memory_order_relaxed);
-      if (redo_capture_) {
-        RedoAppend("index- :" + LabelName(label) + " " + KeyName(key));
-      }
+      CaptureDdl("index-", label, key);
       return;
     }
   }
@@ -922,9 +913,7 @@ Status PropertyGraph::AddUniqueConstraint(Symbol label, Symbol key) {
         KeyName(key) + "): existing nodes share the value " + duplicate);
   }
   unique_constraints_.emplace_back(label, key);
-  if (redo_capture_) {
-    RedoAppend("uniq+ :" + LabelName(label) + " " + KeyName(key));
-  }
+  CaptureDdl("uniq+", label, key);
   return Status::OK();
 }
 
@@ -934,9 +923,7 @@ void PropertyGraph::DropUniqueConstraint(Symbol label, Symbol key) {
     if (unique_constraints_[i] == std::make_pair(label, key)) {
       unique_constraints_.erase(unique_constraints_.begin() +
                                 static_cast<ptrdiff_t>(i));
-      if (redo_capture_) {
-        RedoAppend("uniq- :" + LabelName(label) + " " + KeyName(key));
-      }
+      CaptureDdl("uniq-", label, key);
       return;
     }
   }

@@ -528,44 +528,52 @@ class PropertyGraph {
   /// the journal becomes empty.
   void CommitTo(JournalMark mark);
 
-  // ---- Redo log (write-ahead logging) -------------------------------------
+  // ---- Statement images (write-ahead logging) ----------------------------
   //
-  // While capture is on, every observable mutation appends one line of
-  // textual redo: exact slot ids, label/type/key *names* (so replay is
-  // independent of interner order) and values in property-literal syntax.
-  // The database layer turns the capture of one committed statement into one
-  // WAL record; storage/wal.h replays it with ApplyRedoLog. DDL (index /
-  // constraint create+drop) is captured too, even though it is not
-  // undo-journaled.
+  // The WAL logs a committed statement as the after-image of every slot it
+  // touched (storage/snapshot.h). The undo journal already names those
+  // slots, so data mutators format nothing. DDL (index / constraint
+  // create+drop) is not journaled: while DDL capture is on, it appends its
+  // own image line (`index+ :Label key`, ...) to a buffer the database layer
+  // adds to the statement's record.
 
-  /// Starts capturing redo lines into an empty buffer.
-  void BeginRedoCapture() {
-    redo_capture_ = true;
-    redo_log_.clear();
+  /// Slots touched by the journal entries after `mark`, ascending and
+  /// unique. A slot at or past `node_base` / `rel_base` was created by those
+  /// entries (the bases equal the capacities when none was).
+  struct TouchedSlots {
+    std::vector<NodeId> nodes;
+    std::vector<RelId> rels;
+    uint32_t node_base = 0;
+    uint32_t rel_base = 0;
+  };
+  TouchedSlots TouchedSince(JournalMark mark) const;
+
+  /// Starts capturing DDL lines into an empty buffer.
+  void BeginDdlCapture() {
+    ddl_capture_ = true;
+    ddl_log_.clear();
   }
 
-  /// Stops capture and returns the accumulated redo text.
-  std::string TakeRedoLog() {
-    redo_capture_ = false;
+  /// Stops capture and returns the captured DDL lines.
+  std::string TakeDdlLog() {
+    ddl_capture_ = false;
     std::string out;
-    out.swap(redo_log_);
+    out.swap(ddl_log_);
     return out;
   }
 
   /// Stops capture and discards the buffer (statement failed, rolled back).
-  void AbortRedoCapture() {
-    redo_capture_ = false;
-    redo_log_.clear();
+  void AbortDdlCapture() {
+    ddl_capture_ = false;
+    ddl_log_.clear();
   }
-
-  bool redo_capturing() const { return redo_capture_; }
 
   // ---- Exact-slot restore hooks (crash recovery) --------------------------
   //
   // WAL records reference original slot ids, so a graph rebuilt from a
   // snapshot must keep the exact slot numbering of the source — including
-  // tombstones. Recovery appends dead placeholder slots for the gaps; these
-  // are neither journaled nor redo-captured.
+  // tombstones. Image replay appends dead placeholder slots for the gaps;
+  // these are not journaled.
 
   /// Appends a dead node slot and returns its id.
   NodeId AppendTombstoneNode();
@@ -785,13 +793,11 @@ class PropertyGraph {
   mutable std::unique_ptr<PinRegistry> registry_;
   RetireList retired_;
 
-  /// Appends one redo line (no trailing newline in `line`) when capturing.
-  void RedoAppend(std::string line);
-  /// ":A:B" for a label set, "" when empty.
-  std::string RedoLabels(const std::vector<Symbol>& labels) const;
+  /// Appends `<verb> :Label key` to the DDL buffer when capturing.
+  void CaptureDdl(const char* verb, Symbol label, Symbol key);
 
-  std::string redo_log_;
-  bool redo_capture_ = false;
+  std::string ddl_log_;
+  bool ddl_capture_ = false;
 };
 
 /// Renders a node in Cypher-ish form, e.g. `(:User {id: 89, name: 'Bob'})`.

@@ -152,7 +152,9 @@ Result<size_t> Replica::PollOnce() {
   bool damaged = false;
   while (transport_->Receive(&frame)) {
     if (damaged) continue;  // drain the rest; the shipper will resend
-    Status st = ApplyFrame(frame, &applied);
+    bool apply_failed = false;
+    Status st = ApplyFrame(frame, &applied, &apply_failed);
+    if (apply_failed) return st;  // not wire damage: applied_lsn stops here
     if (!st.ok()) {
       // Never apply a damaged, torn, gapped, or overlapping frame. Ask the
       // shipper to resume from our applied position and discard everything
@@ -186,7 +188,8 @@ Status Replica::PersistBootstrap(const SegmentFrame& frame) {
   return durability_.meta->Replace(meta.data(), meta.size());
 }
 
-Status Replica::ApplyFrame(const SegmentFrame& frame, size_t* applied) {
+Status Replica::ApplyFrame(const SegmentFrame& frame, size_t* applied,
+                          bool* apply_failed) {
   if (Crc32(frame.payload.data(), frame.payload.size()) != frame.crc) {
     return Status::InvalidArgument("replication frame failed its checksum");
   }
@@ -194,14 +197,17 @@ Status Replica::ApplyFrame(const SegmentFrame& frame, size_t* applied) {
     if (bootstrapped_.load() && frame.to_lsn <= applied_lsn_.load()) {
       return Status::OK();  // duplicate bootstrap: already there
     }
-    CYPHER_ASSIGN_OR_RETURN(PropertyGraph graph,
-                            storage::DecodeSnapshot(frame.payload));
+    Result<PropertyGraph> graph = storage::DecodeSnapshot(frame.payload);
+    if (!graph.ok()) {
+      *apply_failed = true;
+      return graph.status();
+    }
     // Persist before the state switch: if the Replace tears (crash), the
     // meta no longer matches and the next boot just re-bootstraps.
     if (durability_.wal != nullptr) {
       CYPHER_RETURN_NOT_OK(PersistBootstrap(frame));
     }
-    db_.graph() = std::move(graph);
+    db_.graph() = std::move(*graph);
     // The graph object was replaced wholesale: stale stamped plans must not
     // revive, and MVCC starts fresh with the bootstrap state as epoch 0.
     db_.plan_cache().Clear();
@@ -236,7 +242,11 @@ Status Replica::ApplyFrame(const SegmentFrame& frame, size_t* applied) {
   for (const storage::WalRecord& record : records) {
     size_t frame_size = storage::WalFrameSize(payload.substr(offset));
     if (record.type == storage::WalRecordType::kStatement) {
-      CYPHER_RETURN_NOT_OK(storage::ApplyRedoLog(&db_.graph(), record.payload));
+      if (Status st = storage::ApplyImage(&db_.graph(), record.payload);
+          !st.ok()) {
+        *apply_failed = true;
+        return st;
+      }
       // Publish per statement: a read session opened mid-segment pins a
       // committed leader prefix, never a half-applied record.
       if (db_.mvcc_enabled()) db_.graph().PublishEpoch();

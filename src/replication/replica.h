@@ -37,7 +37,7 @@ struct ReplicaDurability {
 
 /// A read-only follower: wraps its own GraphDatabase, bootstraps from the
 /// leader's snapshot frame, then applies committed statements in leader
-/// order via the same replay path crash recovery uses (ApplyRedoLog). Every
+/// order via the image applier crash recovery uses (storage::ApplyImage). Every
 /// applied statement publishes an MVCC epoch, so BeginReadSession serves
 /// snapshot-isolated reads at the follower's applied position, lock-free
 /// against the applier.
@@ -152,9 +152,12 @@ class Replica {
   Status RecoverFromDurable();
 
   /// Validates and applies one frame; `*applied` increments when the frame
-  /// advanced state. Any non-OK return means "damaged or out of order" and
-  /// triggers the resend protocol in PollOnce.
-  Status ApplyFrame(const SegmentFrame& frame, size_t* applied);
+  /// advanced state. A non-OK return means "damaged or out of order" and
+  /// triggers the resend protocol in PollOnce — unless `*apply_failed` is
+  /// set: then a checksum-valid image failed to apply, which a resend of the
+  /// same bytes cannot mend.
+  Status ApplyFrame(const SegmentFrame& frame, size_t* applied,
+                    bool* apply_failed);
 
   /// Persists the bootstrap snapshot: the WAL becomes [magic][kSnapshot
   /// record], the meta records attach_lsn + token.

@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <charconv>
 #include <vector>
 
@@ -13,16 +14,48 @@ namespace {
 
 // ---- Writers ----------------------------------------------------------------
 
-/// ":A:B" suffix for a label set (empty for none) — the compact form both
-/// the snapshot and PropertyGraph's redo lines use after an entity id.
-std::string LabelsSuffix(const PropertyGraph& graph,
-                         const std::vector<Symbol>& labels) {
-  std::string out;
-  for (Symbol label : labels) {
-    out += ':';
-    out += graph.LabelName(label);
+void AppendCapacities(const PropertyGraph& graph, std::string* out) {
+  *out += "nodes " + std::to_string(graph.node_capacity()) + "\nrels " +
+          std::to_string(graph.rel_capacity()) + "\n";
+}
+
+/// ` {key: literal, ...}`, or nothing for an empty map (most relationships
+/// carry none).
+void AppendProps(const PropertyGraph& graph, const PropertyMap& props,
+                 std::string* out) {
+  if (!props.empty()) *out += ' ' + DescribeProps(graph, props);
+}
+
+/// The image line of one node slot: `node <slot>[:Label...] [{…}]` when it
+/// is alive, `dead N <slot>` when not.
+void AppendNodeImage(const PropertyGraph& graph, NodeId id, std::string* out) {
+  const NodeData& data = graph.node(id);
+  if (!data.alive) {
+    *out += "dead N " + std::to_string(id.value) + "\n";
+    return;
   }
-  return out;
+  *out += "node " + std::to_string(id.value);
+  for (Symbol label : data.labels) {
+    *out += ':';
+    *out += graph.LabelName(label);
+  }
+  AppendProps(graph, data.props, out);
+  *out += '\n';
+}
+
+/// The image line of one relationship slot: `rel <slot> <src> <tgt> :TYPE
+/// [{…}]` when it is alive, `dead R <slot>` when not.
+void AppendRelImage(const PropertyGraph& graph, RelId id, std::string* out) {
+  const RelData& data = graph.rel(id);
+  if (!data.alive) {
+    *out += "dead R " + std::to_string(id.value) + "\n";
+    return;
+  }
+  *out += "rel " + std::to_string(id.value) + " " +
+          std::to_string(data.src.value) + " " +
+          std::to_string(data.tgt.value) + " :" + graph.TypeName(data.type);
+  AppendProps(graph, data.props, out);
+  *out += '\n';
 }
 
 // ---- Readers ----------------------------------------------------------------
@@ -86,6 +119,13 @@ bool ParseName(std::string_view token, std::string_view* out) {
   return true;
 }
 
+/// The optional trailing property map of a node or rel line.
+Result<ValueMap> ParseProps(Cursor* cursor) {
+  std::string_view rest = cursor->Rest();
+  if (rest.empty()) return ValueMap();
+  return ParseLiteralMap(rest);
+}
+
 PropertyMap PropsFromMap(PropertyGraph* graph, const ValueMap& map) {
   PropertyMap props;
   for (const auto& [key, value] : map) {
@@ -103,44 +143,61 @@ Status LineError(const char* what, size_t line_no) {
 
 std::string EncodeSnapshot(const PropertyGraph& graph) {
   std::string out;
-  out += "nodes " + std::to_string(graph.node_capacity()) + "\n";
-  out += "rels " + std::to_string(graph.rel_capacity()) + "\n";
+  AppendCapacities(graph, &out);
   for (uint32_t i = 0; i < graph.node_capacity(); ++i) {
-    NodeId id(i);
-    if (!graph.IsNodeAlive(id)) continue;
-    const NodeData& data = graph.node(id);
-    out += "node " + std::to_string(i) + LabelsSuffix(graph, data.labels) +
-           " " + DescribeProps(graph, data.props) + "\n";
+    if (graph.IsNodeAlive(NodeId(i))) AppendNodeImage(graph, NodeId(i), &out);
   }
   for (uint32_t i = 0; i < graph.rel_capacity(); ++i) {
-    RelId id(i);
-    if (!graph.IsRelAlive(id)) continue;
-    const RelData& data = graph.rel(id);
-    out += "rel " + std::to_string(i) + " " + std::to_string(data.src.value) +
-           " " + std::to_string(data.tgt.value) + " :" +
-           graph.TypeName(data.type) + " " +
-           DescribeProps(graph, data.props) + "\n";
+    if (graph.IsRelAlive(RelId(i))) AppendRelImage(graph, RelId(i), &out);
   }
   for (const auto& [label, key] : graph.Indexes()) {
-    out += "index :" + graph.LabelName(label) + " " + graph.KeyName(key) +
+    out += "index+ :" + graph.LabelName(label) + " " + graph.KeyName(key) +
            "\n";
   }
   for (const auto& [label, key] : graph.UniqueConstraints()) {
     out +=
-        "uniq :" + graph.LabelName(label) + " " + graph.KeyName(key) + "\n";
+        "uniq+ :" + graph.LabelName(label) + " " + graph.KeyName(key) + "\n";
   }
   return out;
 }
 
-Result<PropertyGraph> DecodeSnapshot(std::string_view payload) {
-  PropertyGraph graph;
+std::string EncodeStatementImage(const PropertyGraph& graph,
+                                 PropertyGraph::JournalMark mark,
+                                 std::string_view ddl) {
+  PropertyGraph::TouchedSlots touched = graph.TouchedSince(mark);
+  std::string out;
+  if (touched.nodes.empty() && touched.rels.empty() && ddl.empty()) {
+    return out;
+  }
+  AppendCapacities(graph, &out);
+  for (NodeId id : touched.nodes) {
+    if (id.value < touched.node_base || graph.IsNodeAlive(id)) {
+      AppendNodeImage(graph, id, &out);
+    }
+  }
+  for (RelId id : touched.rels) {
+    if (id.value < touched.rel_base || graph.IsRelAlive(id)) {
+      AppendRelImage(graph, id, &out);
+    }
+  }
+  out += ddl;
+  return out;
+}
+
+Status ApplyImage(PropertyGraph* graph, std::string_view image) {
   uint32_t node_capacity = 0;
   uint32_t rel_capacity = 0;
   bool have_header = false;
+  // A node dies after the rels that die with it (DETACH DELETE), so its
+  // force delete never leaves one dangling.
+  std::vector<NodeId> node_deaths;
   size_t line_no = 0;
-  for (const std::string& raw : Split(payload, '\n')) {
+  while (!image.empty()) {
+    size_t eol = image.find('\n');
+    std::string_view line = StripAsciiWhitespace(image.substr(0, eol));
+    image.remove_prefix(eol == std::string_view::npos ? image.size()
+                                                      : eol + 1);
     ++line_no;
-    std::string_view line = StripAsciiWhitespace(raw);
     if (line.empty()) continue;
     Cursor cursor{line};
     std::string_view kind = cursor.Token();
@@ -157,23 +214,42 @@ Result<PropertyGraph> DecodeSnapshot(std::string_view payload) {
       }
       continue;
     }
-    if (!have_header) return LineError("missing snapshot header", line_no);
+    if (!have_header) return LineError("missing image header", line_no);
     if (kind == "node") {
       uint32_t slot = 0;
       std::vector<std::string_view> label_names;
       if (!ParseIdLabels(cursor.Token(), &slot, &label_names) ||
-          slot >= node_capacity || slot < graph.node_capacity()) {
+          slot >= node_capacity ||
+          (slot < graph->node_capacity() &&
+           !graph->IsNodeAlive(NodeId(slot)))) {
         return LineError("bad node slot", line_no);
       }
-      while (graph.node_capacity() < slot) graph.AppendTombstoneNode();
-      auto map = ParseLiteralMap(cursor.Rest());
+      auto map = ParseProps(&cursor);
       if (!map.ok()) return LineError("bad node properties", line_no);
       std::vector<Symbol> labels;
       labels.reserve(label_names.size());
       for (std::string_view name : label_names) {
-        labels.push_back(graph.InternLabel(name));
+        labels.push_back(graph->InternLabel(name));
       }
-      graph.CreateNode(std::move(labels), PropsFromMap(&graph, *map));
+      PropertyMap props = PropsFromMap(graph, *map);
+      if (slot >= graph->node_capacity()) {
+        while (graph->node_capacity() < slot) graph->AppendTombstoneNode();
+        graph->CreateNode(std::move(labels), std::move(props));
+        continue;
+      }
+      NodeId id(slot);
+      std::sort(labels.begin(), labels.end());
+      labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+      if (graph->node(id).labels != labels) {
+        std::vector<Symbol> old_labels = graph->node(id).labels;
+        for (Symbol label : old_labels) {
+          if (!std::binary_search(labels.begin(), labels.end(), label)) {
+            graph->RemoveLabel(id, label);
+          }
+        }
+        for (Symbol label : labels) graph->AddLabel(id, label);
+      }
+      graph->ReplaceProperties(EntityRef::Node(id), std::move(props));
       continue;
     }
     if (kind == "rel") {
@@ -184,176 +260,77 @@ Result<PropertyGraph> DecodeSnapshot(std::string_view payload) {
       if (!ParseU32(cursor.Token(), &slot) ||
           !ParseU32(cursor.Token(), &src) ||
           !ParseU32(cursor.Token(), &tgt) ||
-          !ParseName(cursor.Token(), &type) || slot >= rel_capacity ||
-          slot < graph.rel_capacity()) {
+          !ParseName(cursor.Token(), &type) || slot >= rel_capacity) {
         return LineError("bad rel line", line_no);
       }
-      while (graph.rel_capacity() < slot) graph.AppendTombstoneRel();
-      auto map = ParseLiteralMap(cursor.Rest());
+      auto map = ParseProps(&cursor);
       if (!map.ok()) return LineError("bad rel properties", line_no);
-      auto rel = graph.CreateRel(NodeId(src), NodeId(tgt),
-                                 graph.InternType(type),
-                                 PropsFromMap(&graph, *map));
-      if (!rel.ok()) return LineError("rel references dead slot", line_no);
+      PropertyMap props = PropsFromMap(graph, *map);
+      if (slot >= graph->rel_capacity()) {
+        while (graph->rel_capacity() < slot) graph->AppendTombstoneRel();
+        auto rel = graph->CreateRel(NodeId(src), NodeId(tgt),
+                                    graph->InternType(type), std::move(props));
+        if (!rel.ok()) return LineError("rel references dead slot", line_no);
+        continue;
+      }
+      // Endpoints and type never change, so an existing slot must agree.
+      RelId id(slot);
+      const RelData& data = graph->rel(id);
+      if (!data.alive || data.src.value != src || data.tgt.value != tgt ||
+          graph->TypeName(data.type) != type) {
+        return LineError("rel line disagrees with its slot", line_no);
+      }
+      graph->ReplaceProperties(EntityRef::Rel(id), std::move(props));
       continue;
     }
-    if (kind == "index" || kind == "uniq") {
+    if (kind == "dead") {
+      std::string_view which = cursor.Token();
+      uint32_t slot = 0;
+      if ((which != "N" && which != "R") || !ParseU32(cursor.Token(), &slot) ||
+          slot >= (which == "N" ? graph->node_capacity()
+                                : graph->rel_capacity())) {
+        return LineError("dead line names no existing slot", line_no);
+      }
+      if (which == "N") {
+        node_deaths.push_back(NodeId(slot));
+      } else {
+        graph->DeleteRel(RelId(slot));
+      }
+      continue;
+    }
+    if (kind == "index+" || kind == "index-" || kind == "uniq+" ||
+        kind == "uniq-") {
       std::string_view label;
       std::string_view key = cursor.Token();
-      // token order: ":Label" then bare key name
-      std::string_view key_name = cursor.Token();
-      if (!ParseName(key, &label) || key_name.empty()) {
-        return LineError("bad index/uniq line", line_no);
-      }
-      // Indexes and constraints come after every entity line, so both
-      // slot-capacity pads below have not run yet; interning here is safe.
-      Symbol l = graph.InternLabel(label);
-      Symbol k = graph.InternKey(key_name);
-      if (kind == "index") {
-        graph.CreateIndex(l, k);
-      } else {
-        Status st = graph.AddUniqueConstraint(l, k);
-        if (!st.ok()) return st;
-      }
-      continue;
-    }
-    return LineError("unknown snapshot record", line_no);
-  }
-  if (!have_header) {
-    return Status::InvalidArgument("snapshot without header");
-  }
-  while (graph.node_capacity() < node_capacity) graph.AppendTombstoneNode();
-  while (graph.rel_capacity() < rel_capacity) graph.AppendTombstoneRel();
-  return graph;
-}
-
-Status ApplyRedoLog(PropertyGraph* graph, std::string_view redo) {
-  size_t line_no = 0;
-  for (const std::string& raw : Split(redo, '\n')) {
-    ++line_no;
-    std::string_view line = StripAsciiWhitespace(raw);
-    if (line.empty()) continue;
-    Cursor cursor{line};
-    std::string_view verb = cursor.Token();
-    if (verb == "node+") {
-      uint32_t id = 0;
-      std::vector<std::string_view> label_names;
-      if (!ParseIdLabels(cursor.Token(), &id, &label_names) ||
-          id != graph->node_capacity()) {
-        return LineError("redo creates node out of slot order", line_no);
-      }
-      auto map = ParseLiteralMap(cursor.Rest());
-      if (!map.ok()) return LineError("bad node+ properties", line_no);
-      std::vector<Symbol> labels;
-      labels.reserve(label_names.size());
-      for (std::string_view name : label_names) {
-        labels.push_back(graph->InternLabel(name));
-      }
-      graph->CreateNode(std::move(labels), PropsFromMap(graph, *map));
-      continue;
-    }
-    if (verb == "rel+") {
-      uint32_t id = 0;
-      uint32_t src = 0;
-      uint32_t tgt = 0;
-      std::string_view type;
-      if (!ParseU32(cursor.Token(), &id) || !ParseU32(cursor.Token(), &src) ||
-          !ParseU32(cursor.Token(), &tgt) ||
-          !ParseName(cursor.Token(), &type) || id != graph->rel_capacity()) {
-        return LineError("bad rel+ line", line_no);
-      }
-      auto map = ParseLiteralMap(cursor.Rest());
-      if (!map.ok()) return LineError("bad rel+ properties", line_no);
-      auto rel =
-          graph->CreateRel(NodeId(src), NodeId(tgt), graph->InternType(type),
-                           PropsFromMap(graph, *map));
-      if (!rel.ok()) return LineError("rel+ references dead slot", line_no);
-      continue;
-    }
-    if (verb == "rel-") {
-      uint32_t id = 0;
-      if (!ParseU32(cursor.Token(), &id) || !graph->IsValidRel(RelId(id))) {
-        return LineError("bad rel- line", line_no);
-      }
-      graph->DeleteRel(RelId(id));
-      continue;
-    }
-    if (verb == "node-") {
-      uint32_t id = 0;
-      if (!ParseU32(cursor.Token(), &id) || !graph->IsValidNode(NodeId(id))) {
-        return LineError("bad node- line", line_no);
-      }
-      // Force-style delete: in legacy order the node can go before its
-      // incident relationships within one statement.
-      graph->DeleteNodeForce(NodeId(id));
-      continue;
-    }
-    if (verb == "label+" || verb == "label-") {
-      uint32_t id = 0;
-      std::string_view name;
-      if (!ParseU32(cursor.Token(), &id) ||
-          !ParseName(cursor.Token(), &name) ||
-          !graph->IsValidNode(NodeId(id))) {
-        return LineError("bad label line", line_no);
-      }
-      Symbol label = graph->InternLabel(name);
-      if (verb == "label+") {
-        graph->AddLabel(NodeId(id), label);
-      } else {
-        graph->RemoveLabel(NodeId(id), label);
-      }
-      continue;
-    }
-    if (verb == "prop" || verb == "props") {
-      std::string_view kind = cursor.Token();
-      uint32_t id = 0;
-      if ((kind != "N" && kind != "R") || !ParseU32(cursor.Token(), &id)) {
-        return LineError("bad prop line", line_no);
-      }
-      EntityRef entity = kind == "N" ? EntityRef::Node(NodeId(id))
-                                     : EntityRef::Rel(RelId(id));
-      if (kind == "N" ? !graph->IsValidNode(NodeId(id))
-                      : !graph->IsValidRel(RelId(id))) {
-        return LineError("prop line references unknown slot", line_no);
-      }
-      if (verb == "prop") {
-        std::string_view key = cursor.Token();
-        if (key.empty()) return LineError("bad prop key", line_no);
-        auto value = ParseLiteral(cursor.Rest());
-        if (!value.ok()) return LineError("bad prop literal", line_no);
-        graph->SetProperty(entity, graph->InternKey(key), *std::move(value));
-      } else {
-        auto map = ParseLiteralMap(cursor.Rest());
-        if (!map.ok()) return LineError("bad props literal", line_no);
-        graph->ReplaceProperties(entity, PropsFromMap(graph, *map));
-      }
-      continue;
-    }
-    if (verb == "index+" || verb == "index-" || verb == "uniq+" ||
-        verb == "uniq-") {
-      std::string_view label;
-      if (!ParseName(cursor.Token(), &label)) {
-        return LineError("bad ddl line", line_no);
-      }
-      std::string_view key = cursor.Token();
+      if (!ParseName(key, &label)) return LineError("bad ddl line", line_no);
+      key = cursor.Token();
       if (key.empty()) return LineError("bad ddl key", line_no);
       Symbol l = graph->InternLabel(label);
       Symbol k = graph->InternKey(key);
-      if (verb == "index+") {
+      if (kind == "index+") {
         graph->CreateIndex(l, k);
-      } else if (verb == "index-") {
+      } else if (kind == "index-") {
         graph->DropIndex(l, k);
-      } else if (verb == "uniq+") {
-        Status st = graph->AddUniqueConstraint(l, k);
-        if (!st.ok()) return st;
+      } else if (kind == "uniq+") {
+        CYPHER_RETURN_NOT_OK(graph->AddUniqueConstraint(l, k));
       } else {
         graph->DropUniqueConstraint(l, k);
       }
       continue;
     }
-    return LineError("unknown redo verb", line_no);
+    return LineError("unknown image line", line_no);
   }
+  if (!have_header) return Status::InvalidArgument("image without header");
+  for (NodeId id : node_deaths) graph->DeleteNodeForce(id);
+  while (graph->node_capacity() < node_capacity) graph->AppendTombstoneNode();
+  while (graph->rel_capacity() < rel_capacity) graph->AppendTombstoneRel();
   return Status::OK();
+}
+
+Result<PropertyGraph> DecodeSnapshot(std::string_view payload) {
+  PropertyGraph graph;
+  CYPHER_RETURN_NOT_OK(ApplyImage(&graph, payload));
+  return graph;
 }
 
 Result<RecoveredGraph> RecoverGraph(std::string_view wal_bytes) {
@@ -379,8 +356,7 @@ Result<RecoveredGraph> RecoverGraph(std::string_view wal_bytes) {
     ++start;
   }
   for (size_t i = start; i < contents.records.size(); ++i) {
-    Status st = ApplyRedoLog(&out.graph, contents.records[i].payload);
-    if (!st.ok()) return st;
+    CYPHER_RETURN_NOT_OK(ApplyImage(&out.graph, contents.records[i].payload));
     ++out.statements;
   }
   return out;

@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/crc32.h"
 
@@ -95,8 +94,15 @@ Result<std::vector<WalRecord>> DecodeWalSegment(std::string_view bytes) {
 }
 
 Result<WalScan> ScanWal(std::string_view bytes) {
-  if (bytes.size() < kWalMagicSize ||
-      std::memcmp(bytes.data(), kWalMagic, kWalMagicSize) != 0) {
+  std::string_view magic = bytes.substr(0, kWalMagicSize);
+  if (magic != std::string_view(kWalMagic, kWalMagicSize)) {
+    // "CYWAL" plus three version digits: name the other version.
+    if (magic.size() == kWalMagicSize && magic.substr(0, 5) == "CYWAL") {
+      return Status::InvalidArgument(
+          "write-ahead log format " + std::string(magic) +
+          " is not supported (this build reads " +
+          std::string(kWalMagic, kWalMagicSize) + ")");
+    }
     return Status::InvalidArgument(
         "not a write-ahead log (bad or short magic)");
   }

@@ -17,17 +17,19 @@ namespace cypher::storage {
 
 /// Logical write-ahead log, one file:
 ///
-///   [8-byte magic "CYWAL001"]
+///   [8-byte magic "CYWAL002"]
 ///   [u32 length][u32 crc32][u8 type][payload...]     repeated
 ///
 /// Integers are little-endian; `length` counts the type byte plus the
 /// payload, and the CRC covers the same bytes. A kSnapshot payload is an
-/// exact-slot graph image (see snapshot.h); a kStatement payload is one
-/// committed statement's redo text (PropertyGraph::TakeRedoLog). Recovery
-/// replays the latest snapshot, then every following statement, and stops
+/// exact-slot image of the whole graph and a kStatement payload the
+/// after-image of the slots one committed statement touched, both in the
+/// line grammar of snapshot.h. The magic's last three digits are the format
+/// version; a log of another version is refused by name. Recovery
+/// applies the latest snapshot, then every following statement, and stops
 /// at the first incomplete or checksum-failing record — the torn-write
 /// rule that keeps a half-written commit invisible.
-inline constexpr char kWalMagic[8] = {'C', 'Y', 'W', 'A', 'L', '0', '0', '1'};
+inline constexpr char kWalMagic[8] = {'C', 'Y', 'W', 'A', 'L', '0', '0', '2'};
 inline constexpr size_t kWalMagicSize = sizeof(kWalMagic);
 inline constexpr size_t kWalFrameHeaderSize = 9;  // len + crc + type
 

@@ -33,10 +33,24 @@ struct CachedPlan {
 /// below are process-global (every session shares one cache); each session
 /// — the writer database's default session and every snapshot ReadSession —
 /// additionally tallies its own lookups here so the shell can report "this
-/// session's" hit rate next to the global one.
+/// session's" hit rate next to the global one. The writer session is shared
+/// by every thread executing on the database, so the tallies are relaxed
+/// atomics; copies are point-in-time values.
 struct SessionCacheCounters {
-  uint64_t hits = 0;    // raw + shape
-  uint64_t misses = 0;  // parsed and compiled fresh
+  std::atomic<uint64_t> hits{0};    // raw + shape
+  std::atomic<uint64_t> misses{0};  // parsed and compiled fresh
+
+  SessionCacheCounters() = default;
+  SessionCacheCounters(const SessionCacheCounters& other) noexcept {
+    *this = other;
+  }
+  SessionCacheCounters& operator=(const SessionCacheCounters& other) noexcept {
+    hits.store(other.hits.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+    misses.store(other.misses.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    return *this;
+  }
 };
 
 /// Point-in-time counters (see PlanCache). `hits` = raw_hits + shape_hits.

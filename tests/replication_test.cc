@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "cypher/database.h"
 #include "exec/render.h"
 #include "graph/serialize.h"
@@ -165,6 +166,42 @@ TEST(ReplicationFrames, FrameSizeWalksBoundaries) {
   EXPECT_EQ(storage::WalFrameSize(std::string_view(both).substr(0, 3)), 0u);
 }
 
+// A segment whose frame and record checksums hold but whose image cannot
+// apply is not wire damage: a resend would deliver the same bytes again.
+// PollOnce returns the error, applied_lsn stays before the record, and the
+// leader sees no resend request.
+TEST(ReplicationFrames, UnappliableRecordFailsThePollWithoutResend) {
+  GraphDatabase leader;
+  ASSERT_TRUE(leader.OpenDurable(std::make_unique<MemoryLogFile>()).ok());
+  auto transport = std::make_shared<InProcessTransport>();
+  Replica replica(transport);
+  ASSERT_TRUE(leader.AttachFollower(transport).ok());
+  CatchUp(&leader, &replica);
+
+  std::string segment = storage::EncodeWalRecord(
+      storage::WalRecordType::kStatement, "nodes 1\nrels 0\nnode 0 {v: }\n");
+  uint64_t at = replica.applied_lsn();
+  SegmentFrame frame;
+  frame.from_lsn = at;
+  frame.to_lsn = at + segment.size();
+  frame.crc = Crc32(segment.data(), segment.size());
+  frame.payload = segment;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ASSERT_TRUE(transport->Send(frame).ok());
+    auto polled = replica.PollOnce();
+    ASSERT_FALSE(polled.ok()) << "attempt " << attempt;
+    EXPECT_NE(polled.status().ToString().find("bad node properties"),
+              std::string::npos)
+        << polled.status().ToString();
+    EXPECT_EQ(replica.applied_lsn(), at);
+    EXPECT_EQ(replica.statements_applied(), 0u);
+    ASSERT_TRUE(leader.PumpReplication().ok());
+    auto status = leader.replication_status();
+    ASSERT_EQ(status.detail.size(), 1u);
+    EXPECT_EQ(status.detail[0].resends, 0u);
+  }
+}
+
 // ---- Bootstrap + tail ------------------------------------------------------
 
 TEST(ReplicationTest, FollowerBootstrapsAndTails) {
@@ -264,6 +301,41 @@ TEST(ReplicationTest, DivergenceOracleAtEverySegmentBoundary) {
   ExpectAtBoundary(ref, replica.get(), "after catch-up");
   EXPECT_EQ(replica->CanonicalDump(), DumpGraphCanonical(leader.graph()));
   EXPECT_EQ(replica->applied_lsn(), leader.wal_writer()->appended_lsn());
+}
+
+// ---- Rolled-back slots -------------------------------------------------------
+
+// Each statement that fails here rolls back after creating slots, which
+// stay on the leader as tombstones; the next committed CREATE lands past
+// them. Its record's capacity lines pad the follower over the gap, so the
+// follower catches up without a single resend.
+TEST(ReplicationTest, FollowerReplaysPastRolledBackCreates) {
+  GraphDatabase leader;
+  ASSERT_TRUE(leader.OpenDurable(std::make_unique<MemoryLogFile>()).ok());
+  auto transport = std::make_shared<InProcessTransport>();
+  Replica replica(transport);
+  ASSERT_TRUE(leader.AttachFollower(transport).ok());
+  ASSERT_TRUE(replica.PollOnce().ok());
+
+  const char* statements[] = {
+      "CREATE CONSTRAINT ON (u:User) ASSERT u.id IS UNIQUE",
+      "CREATE (:User {id: 1})",
+      "CREATE (:User {id: 1})",  // violates the constraint
+      "CREATE (:User {id: 2})",
+      "CREATE (n:B {v: 1}) WITH n RETURN n.v / 0",
+      "CREATE (:B {v: 2})",
+      "CREATE ()-[:R]->() WITH 1 AS one RETURN 1 / 0",
+      "MATCH (u:User {id: 2}) CREATE (u)-[:R {w: 1}]->(:C)",
+  };
+  size_t committed = 0;
+  for (const char* q : statements) committed += leader.Run(q).ok() ? 1 : 0;
+  ASSERT_EQ(committed, 5u);
+  CatchUp(&leader, &replica);
+  EXPECT_EQ(replica.CanonicalDump(), DumpGraphCanonical(leader.graph()));
+  EXPECT_EQ(replica.statements_applied(), committed);
+  auto status = leader.replication_status();
+  ASSERT_EQ(status.detail.size(), 1u);
+  EXPECT_EQ(status.detail[0].resends, 0u);
 }
 
 // ---- Transport fault injection ---------------------------------------------

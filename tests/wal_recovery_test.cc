@@ -107,6 +107,126 @@ TEST(WalFormat, UnknownRecordTypeStopsTheScan) {
   EXPECT_TRUE(decoded->torn_tail);
 }
 
+// A log of another format version is refused by its magic, before any
+// record is read — never with a line error from the wrong grammar.
+TEST(WalFormat, OtherFormatVersionIsRefusedByName) {
+  std::string log = "CYWAL001";
+  log += EncodeWalRecord(WalRecordType::kSnapshot, "nodes 0\nrels 0\n");
+  log += EncodeWalRecord(WalRecordType::kStatement, "node+ 0 {}\n");
+  auto recovered = RecoverGraph(log);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().ToString().find("format CYWAL001"),
+            std::string::npos)
+      << recovered.status().ToString();
+  GraphDatabase db;
+  auto mem = std::make_unique<MemoryLogFile>();
+  ASSERT_TRUE(mem->Append(log.data(), log.size()).ok());
+  Status open = db.OpenDurable(std::move(mem));
+  EXPECT_NE(open.ToString().find("CYWAL001"), std::string::npos)
+      << open.ToString();
+}
+
+// ---- Image applier ----------------------------------------------------------
+
+// Three nodes (slot 2 a tombstone) and one relationship.
+constexpr char kBaseImage[] =
+    "nodes 3\nrels 1\nnode 0:A {}\nnode 1 {}\nrel 0 0 1 :R {}\n";
+
+TEST(ImageApplier, RefusesEveryMalformedLineByName) {
+  struct Case {
+    const char* image;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"", "image without header"},
+      {"node 0 {}", "missing image header"},
+      {"nodes x", "malformed nodes header"},
+      {"rels 1", "malformed rels header"},
+      {"nodes 3\nrels x", "malformed rels header"},
+      {"nodes 4\nrels 1\nnode 4 {}", "bad node slot"},  // past capacity
+      {"nodes 3\nrels 1\nnode 2 {}", "bad node slot"},  // a tombstone
+      {"nodes 3\nrels 1\nnode x {}", "bad node slot"},
+      {"nodes 3\nrels 1\nnode 0 {v: }", "bad node properties"},
+      {"nodes 3\nrels 2\nrel 2 0 1 :R {}", "bad rel line"},  // past capacity
+      {"nodes 3\nrels 2\nrel 1 0 1 R {}", "bad rel line"},
+      {"nodes 3\nrels 2\nrel 1 0 1 :R {w", "bad rel properties"},
+      {"nodes 3\nrels 2\nrel 1 0 2 :R {}", "rel references dead slot"},
+      {"nodes 3\nrels 1\nrel 0 1 0 :R {}", "rel line disagrees with its slot"},
+      {"nodes 3\nrels 1\nrel 0 0 1 :S {}", "rel line disagrees with its slot"},
+      {"nodes 3\nrels 1\ndead N 3", "dead line names no existing slot"},
+      {"nodes 3\nrels 1\ndead R 1", "dead line names no existing slot"},
+      {"nodes 3\nrels 1\ndead X 0", "dead line names no existing slot"},
+      {"nodes 3\nrels 1\nindex+ A k", "bad ddl line"},
+      {"nodes 3\nrels 1\nuniq- :A", "bad ddl key"},
+      {"nodes 3\nrels 1\nnode+ 3 {}", "unknown image line"},
+      {"nodes 3\nrels 1\nprops N 0 {}", "unknown image line"},
+  };
+  for (const Case& c : cases) {
+    auto graph = storage::DecodeSnapshot(kBaseImage);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    Status st = storage::ApplyImage(&*graph, c.image);
+    EXPECT_FALSE(st.ok()) << c.image;
+    EXPECT_NE(st.ToString().find(c.error), std::string::npos)
+        << c.image << " -> " << st.ToString();
+  }
+}
+
+TEST(ImageApplier, RefusesAConstraintTheDataViolates) {
+  auto graph = storage::DecodeSnapshot(
+      "nodes 2\nrels 0\nnode 0:U {id: 1}\nnode 1:U {id: 1}\n");
+  ASSERT_TRUE(graph.ok());
+  EXPECT_FALSE(storage::ApplyImage(&*graph, "nodes 2\nrels 0\nuniq+ :U id\n")
+                   .ok());
+}
+
+// Existing slots are overwritten from the image, new ones created past the
+// capacity, dead ones killed — and applying the same image twice changes
+// nothing more.
+TEST(ImageApplier, OverwritesSlotsIdempotently) {
+  auto graph = storage::DecodeSnapshot(
+      "nodes 3\nrels 2\nnode 0:A:B {x: 1}\nnode 1 {}\nnode 2 {}\n"
+      "rel 0 0 1 :R {w: 1}\nrel 1 1 2 :R\nindex+ :B x\n");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::string image =
+      "nodes 5\nrels 3\nnode 0:B:C {y: 2}\nnode 4:D\n"
+      "rel 0 0 1 :R {w: 2}\ndead R 1\ndead N 2\nindex+ :C y\nindex- :B x\n";
+  for (int round = 0; round < 2; ++round) {
+    Status st = storage::ApplyImage(&*graph, image);
+    ASSERT_TRUE(st.ok()) << "round " << round << ": " << st.ToString();
+    EXPECT_EQ(DumpGraphCanonical(*graph),
+              "node 0 :B :C {y: 2}\nnode 1 {}\nnode 2 :D {}\n"
+              "rel 0 0 1 :R {w: 2}\n");
+    EXPECT_EQ(graph->node_capacity(), 5u);
+    EXPECT_EQ(graph->rel_capacity(), 3u);
+    EXPECT_EQ(graph->LabelCount(graph->FindLabel("A")), 0u);
+    EXPECT_EQ(graph->LabelCount(graph->FindLabel("B")), 1u);
+    EXPECT_TRUE(graph->HasIndex(graph->FindLabel("C"), graph->FindKey("y")));
+    EXPECT_FALSE(
+        graph->HasIndex(graph->FindLabel("B"), graph->FindKey("x")));
+  }
+}
+
+// Replay replaces the whole property map of every node a record names, and
+// a replayed graph never compacts its indexes (nothing commits a journal
+// there). An unchanged indexed value must therefore not be indexed again.
+TEST(ImageApplier, ReplayDoesNotGrowIndexesOnUnchangedValues) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.Run("CREATE INDEX ON :W(id)").ok());
+  ASSERT_TRUE(db.Run("CREATE (:W {id: 1, v: 0})").ok());
+  auto mem = std::make_unique<MemoryLogFile>();
+  MemoryLogFile* raw = mem.get();
+  ASSERT_TRUE(db.OpenDurable(std::move(mem)).ok());
+  for (int i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(
+        db.Run("MATCH (n:W {id: 1}) SET n.v = " + std::to_string(i)).ok());
+  }
+  auto recovered = RecoverGraph(raw->bytes());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const PropertyGraph& graph = recovered->graph;
+  EXPECT_EQ(graph.IndexEntryCount(graph.FindLabel("W"), graph.FindKey("id")),
+            1u);
+}
+
 // ---- Workload harness -----------------------------------------------------
 
 // One commit boundary of the reference run: the log length after a
@@ -505,6 +625,85 @@ TEST(WalRecovery, RolledBackStatementIsNotLogged) {
   auto recovered = RecoverGraph(raw->bytes());
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(DumpGraphCanonical(recovered->graph), dump);
+}
+
+// ---- Rolled-back slots -----------------------------------------------------
+
+// A statement that rolls back after creating slots leaves them on the
+// leader as tombstones, so the next committed CREATE lands past them. Its
+// record must still replay: recovery pads to the record's capacity lines.
+const std::vector<std::vector<std::string>>& RollbackGapCases() {
+  static const auto* cases = new std::vector<std::vector<std::string>>{
+      {"CREATE CONSTRAINT ON (u:User) ASSERT u.id IS UNIQUE",
+       "CREATE (:User {id: 1})",
+       "CREATE (:User {id: 1})",  // violates the constraint
+       "CREATE (:User {id: 2})"},
+      {"CREATE (n:B {v: 1}) WITH n RETURN n.v / 0",  // division by zero
+       "CREATE (:B {v: 2})"},
+      {"CREATE ()-[:R]->() WITH 1 AS one RETURN 1 / 0",
+       "CREATE (:A)-[:R {w: 1}]->(:A)"},
+  };
+  return *cases;
+}
+
+TEST(WalRecovery, RolledBackCreateLeavesAReplayableGap) {
+  for (const std::vector<std::string>& statements : RollbackGapCases()) {
+    SCOPED_TRACE(statements.front());
+    GraphDatabase db;
+    auto mem = std::make_unique<MemoryLogFile>();
+    MemoryLogFile* raw = mem.get();
+    ASSERT_TRUE(db.OpenDurable(std::move(mem)).ok());
+    size_t failed = 0;
+    for (const std::string& q : statements) failed += db.Run(q).ok() ? 0 : 1;
+    ASSERT_EQ(failed, 1u) << "the case must roll back exactly one statement";
+    auto recovered = RecoverGraph(raw->bytes());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(DumpGraphCanonical(recovered->graph),
+              DumpGraphCanonical(db.graph()));
+    EXPECT_EQ(recovered->graph.node_capacity(), db.graph().node_capacity());
+    EXPECT_EQ(recovered->graph.rel_capacity(), db.graph().rel_capacity());
+  }
+}
+
+// The every-byte sweep over a workload that interleaves rolled-back
+// statements with committed creates, updates and deletes of older slots.
+TEST(WalRecovery, EveryBytePrefixRecoversAcrossRolledBackStatements) {
+  std::vector<std::string> workload;
+  for (const std::vector<std::string>& statements : RollbackGapCases()) {
+    workload.insert(workload.end(), statements.begin(), statements.end());
+  }
+  workload.insert(workload.end(),
+                  {"MATCH (u:User {id: 2}) SET u.name = 'two', u:Admin",
+                   "MATCH (b:B) REMOVE b:B SET b = {w: 3}",
+                   "MATCH (u:User {id: 2}) CREATE (u)-[:R]->(:C) "
+                   "WITH 1 AS one RETURN 1 / 0",
+                   "MATCH ()-[r:R]->() SET r.w = 2",
+                   "MATCH (a:A) DETACH DELETE a",
+                   "CREATE (:User {id: 3})-[:R]->(:C)"});
+  GraphDatabase db;
+  auto mem = std::make_unique<MemoryLogFile>();
+  MemoryLogFile* raw = mem.get();
+  ASSERT_TRUE(db.OpenDurable(std::move(mem)).ok());
+  std::vector<Boundary> boundaries{{raw->size(), DumpGraphCanonical(db.graph())}};
+  size_t failed = 0;
+  for (const std::string& q : workload) {
+    failed += db.Run(q).ok() ? 0 : 1;
+    if (raw->size() != boundaries.back().bytes) {
+      boundaries.push_back({raw->size(), DumpGraphCanonical(db.graph())});
+    }
+  }
+  size_t b = 0;
+  std::string log = raw->bytes();
+  for (uint64_t cut = boundaries.front().bytes; cut <= log.size(); ++cut) {
+    while (b + 1 < boundaries.size() && boundaries[b + 1].bytes <= cut) ++b;
+    auto recovered = RecoverGraph(std::string_view(log).substr(0, cut));
+    ASSERT_TRUE(recovered.ok())
+        << "cut=" << cut << ": " << recovered.status().ToString();
+    ASSERT_EQ(DumpGraphCanonical(recovered->graph), boundaries[b].dump)
+        << "cut=" << cut;
+  }
+  EXPECT_EQ(failed, 4u);
+  EXPECT_EQ(boundaries.back().dump, DumpGraphCanonical(db.graph()));
 }
 
 // ---- Group commit ---------------------------------------------------------
