@@ -62,6 +62,31 @@ BENCHMARK(BM_PointLookup)
     ->ArgsProduct({{256, 2048, 8192}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
+// The same lookup on a snapshot read session: pinned plans seek the
+// versioned index too, so `indexed` should stay O(1)-ish here as well.
+void BM_PointLookupPinned(benchmark::State& state) {
+  bool indexed = state.range(1) != 0;
+  int64_t n = state.range(0);
+  GraphDatabase db = MakeDb(indexed, n, 10);
+  (void)db.EnableMvcc();
+  auto session = db.BeginReadSession();
+  if (!session.ok()) {
+    state.SkipWithError(session.status().ToString().c_str());
+    return;
+  }
+  int64_t probe = 0;
+  for (auto _ : state) {
+    auto r = session->Execute("MATCH (u:User {id: $id}) RETURN count(u) AS c",
+                              {{"id", Value::Int(1 + (probe++ % n))}});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(indexed ? "indexed, pinned" : "label-scan, pinned");
+}
+BENCHMARK(BM_PointLookupPinned)
+    ->ArgsProduct({{256, 2048, 8192}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_LookupJoin(benchmark::State& state) {
   bool indexed = state.range(1) != 0;
   int64_t n = state.range(0);

@@ -41,17 +41,6 @@ std::string OptionsFingerprint(const EvalOptions& options) {
             ? std::to_string(static_cast<int>(*options.plain_merge_variant))
             : std::string("-");
   fp += '|';
-  // Snapshot sessions key on their pinned epoch: a pinned compile skips
-  // index anchors and its stamped match-plan slots are epoch-specific, so
-  // sharing one entry between the writer and a pinned session (or two
-  // sessions at different epochs) would recompile the slot on every
-  // alternation — under the slot mutex, serializing the very readers MVCC
-  // is meant to unleash. Distinct keys give each (session, epoch) a stable
-  // warm plan; the LRU evicts entries from epochs nobody pins anymore.
-  if (options.read_pin != nullptr) {
-    fp += "pin" + std::to_string(options.read_pin->epoch);
-    fp += '|';
-  }
   return fp;
 }
 

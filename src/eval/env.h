@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/read_pin.h"
 #include "graph/graph.h"
 #include "table/table.h"
 #include "value/value.h"
@@ -34,11 +33,6 @@ struct EvalContext {
   /// Watchdog token the match/expansion loops poll (through a CancelGate);
   /// null means the statement runs uncancellable.
   const CancelToken* cancel = nullptr;
-  /// Snapshot pin when this statement runs in an MVCC read session; null on
-  /// the writer. Match compilation consults it (pinned plans skip index
-  /// anchors — property indexes are not versioned); record resolution
-  /// itself rides the thread-local pin, not this pointer.
-  const ReadPin* read_pin = nullptr;
 };
 
 /// One record u of the driving table, viewed without copying, plus an

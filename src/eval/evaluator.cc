@@ -794,8 +794,15 @@ const Value* MatchOperand::Eval(size_t row,
                                 const MatchAssignment& assignment) const {
   static const Value kNull;
   if (mode_ == Mode::kConstant) return &constant_;
-  const Value* base = assignment.Find(*name_);
-  if (base == nullptr) {
+  const Value* base;
+  if (const MatchBinding* binding = assignment.FindBinding(*name_)) {
+    // A node or relationship the match resolved: read the key off the
+    // record it bound instead of resolving the entity again.
+    if (mode_ == Mode::kProperty && binding->props != nullptr) {
+      return key_ == kNoSymbol ? &kNull : &binding->props->Get(key_);
+    }
+    base = &binding->value;
+  } else {
     if (col_ == Table::kNoColumn) return nullptr;
     base = &table_->At(row, col_);
   }
@@ -869,8 +876,8 @@ Result<Tri> WhereEval::Eval(size_t row,
     if (!generic) return acc;
   }
   Bindings bindings(table_, row);
-  for (const auto& [name, value] : assignment.entries()) {
-    bindings.Push(name, value);
+  for (const MatchBinding& binding : assignment.entries()) {
+    bindings.Push(*binding.name, binding.value);
   }
   return EvaluatePredicate(*ctx_, bindings, *where_);
 }

@@ -57,7 +57,9 @@ class RowEval {
 /// once per clause for evaluation over one match: the assignment a MATCH
 /// adds on top of a driving record. Variables read the assignment first —
 /// its bindings shadow the record, as Bindings::Push does — then the
-/// record's column. Same thread-compatibility as RowEval.
+/// record's column. `v.key` on a node or relationship the match bound
+/// reads the record the matcher resolved. Same thread-compatibility as
+/// RowEval.
 class MatchOperand {
  public:
   /// Resolves `expr` against `table`'s columns; nullopt when `expr` has

@@ -45,15 +45,16 @@ bool SumStats::Overflowed() const {
              static_cast<__int128>(std::numeric_limits<int64_t>::min());
 }
 
-void FoldArgument(const AggSpec& spec, Result<Value> arg, Partial* p) {
-  if (!arg.ok()) {
-    // Not a task error: the sequential executor only hits this once group
-    // finalization reaches this (group, item) — the materialized rerun
-    // re-raises it at exactly that point.
+void FoldArgument(const AggSpec& spec, const Value* arg, Partial* p) {
+  if (arg == nullptr) {
+    // Not a task error: the sequential executor only meets the generic
+    // rules once group finalization reaches this (group, item) — the
+    // materialized rerun decides the value or the error at exactly that
+    // point.
     p->fallback = true;
     return;
   }
-  Value v = std::move(arg).value();
+  const Value& v = *arg;
   if (v.is_null()) return;  // every aggregate skips nulls
   switch (spec.op) {
     case AggOp::kCount:
@@ -69,13 +70,13 @@ void FoldArgument(const AggSpec& spec, Result<Value> arg, Partial* p) {
     case AggOp::kMin:
     case AggOp::kMax: {
       if (!p->has_best) {
-        p->best = std::move(v);
+        p->best = v;
         p->has_best = true;
       } else {
         int cmp = TotalOrderCompare(v, p->best);
         if ((spec.op == AggOp::kMin && cmp < 0) ||
             (spec.op == AggOp::kMax && cmp > 0)) {
-          p->best = std::move(v);
+          p->best = v;
         }
       }
       break;

@@ -71,13 +71,14 @@ struct Partial {
   bool fallback = false;
 };
 
-/// Folds one row's argument value — or its evaluation error, which flags
-/// the fallback — into `p`. count(*) and kGeneric never get here
-/// (see UpdatePartial).
-void FoldArgument(const AggSpec& spec, Result<Value> arg, Partial* p);
+/// Folds one row's argument value into `p` by reference; a null `arg` (an
+/// operand that needs the generic rules) flags the fallback. count(*) and
+/// kGeneric never get here (see UpdatePartial).
+void FoldArgument(const AggSpec& spec, const Value* arg, Partial* p);
 
-/// Folds one row into `p`; `arg()` yields the row's argument value and is
-/// only called when the aggregate reads it.
+/// Folds one row into `p`; `arg()` yields a pointer to the row's argument
+/// value (null: see FoldArgument) and is only called when the aggregate
+/// reads it.
 template <typename ArgFn>
 void UpdatePartial(const AggSpec& spec, Partial* p, const ArgFn& arg) {
   if (spec.op == AggOp::kCountStar) {

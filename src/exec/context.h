@@ -32,17 +32,10 @@ struct ExecContext {
 
   /// Read-only view for the expression evaluator.
   EvalContext Eval() const {
-    return EvalContext{graph, params, options.match_mode, &options.cancel,
-                       options.read_pin};
+    return EvalContext{graph, params, options.match_mode, &options.cancel};
   }
 
-  MatchOptions Match() const {
-    MatchOptions match{options.match_mode};
-    if (options.read_pin != nullptr) {
-      match.snapshot_epoch = options.read_pin->epoch;
-    }
-    return match;
-  }
+  MatchOptions Match() const { return MatchOptions{options.match_mode}; }
 
   /// The record visit order for legacy executors: forward, reverse, or a
   /// seeded shuffle of [0, n). Revised executors must not call this (they

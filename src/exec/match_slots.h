@@ -29,12 +29,6 @@ struct PlanStamp {
   size_t num_nodes = 0;
   size_t num_rels = 0;
   uint64_t label_counts_hash = 0;
-  /// Snapshot-epoch component: 0 for writer compiles (latest state), pinned
-  /// epoch + 1 for snapshot-session compiles. Pinned compiles skip index
-  /// anchors (property indexes are unversioned), so a cached plan must never
-  /// migrate between a snapshot session and the writer, nor across epochs —
-  /// folding the pin into the stamp makes the slot self-invalidating.
-  uint64_t pinned_epoch = 0;
 
   bool operator==(const PlanStamp& o) const {
     return num_label_symbols == o.num_label_symbols &&
@@ -42,8 +36,7 @@ struct PlanStamp {
            num_key_symbols == o.num_key_symbols &&
            index_epoch == o.index_epoch && num_nodes == o.num_nodes &&
            num_rels == o.num_rels &&
-           label_counts_hash == o.label_counts_hash &&
-           pinned_epoch == o.pinned_epoch;
+           label_counts_hash == o.label_counts_hash;
   }
 };
 

@@ -69,8 +69,8 @@ Status ExecMergeLegacy(ExecContext* ctx, const MergeClause& clause,
         out.AddRow(std::move(row));
         if (!clause.on_match.empty()) {
           Bindings mb = bindings;
-          for (const auto& [name, value] : assignment.entries()) {
-            mb.Push(name, value);
+          for (const MatchBinding& binding : assignment.entries()) {
+            mb.Push(*binding.name, binding.value);
           }
           CYPHER_RETURN_NOT_OK(ApplySetItemsLegacy(ctx, clause.on_match, mb));
         }

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/read_pin.h"
 #include "eval/evaluator.h"
 #include "exec/aggregate.h"
 #include "exec/clauses.h"
@@ -67,10 +66,9 @@ std::shared_ptr<const CompiledMatch> SlotPlan(const ExecContext& ctx,
   EvalContext ec = ctx.Eval();
   std::lock_guard<std::mutex> lock(slot.mu);
   PlanStamp stamp = TakeStamp(*ec.graph);
-  if (ec.read_pin != nullptr) stamp.pinned_epoch = ec.read_pin->epoch + 1;
   if (slot.plan == nullptr || !(slot.stamp == stamp)) {
     EvalContext compile_ec{ec.graph, nullptr, ctx.options.match_mode,
-                           &ctx.options.cancel, ec.read_pin};
+                           &ctx.options.cancel};
     slot.plan = std::make_shared<const CompiledMatch>(
         CompileMatch(compile_ec, Bindings(&table, 0), slot.clause->patterns));
     slot.stamp = stamp;
@@ -560,10 +558,8 @@ Result<bool> ExecStreamedAggregate(
         Partial* partials = ts.groups.partials_of(
             ts.groups.Group(GroupIndex::Hash(ts.key.size(), key), key));
         for (size_t a = 0; a < agg_items.size(); ++a) {
-          UpdatePartial(specs[a], &partials[a], [&]() -> Result<Value> {
-            const MatchOperand& operand = *operands[agg_items[a]];
-            if (const Value* v = operand.Eval(0, assignment)) return *v;
-            return Status::ExecutionError("operand needs the generic rules");
+          UpdatePartial(specs[a], &partials[a], [&] {
+            return operands[agg_items[a]]->Eval(0, assignment);
           });
           if (partials[a].fallback) {
             ts.declined = true;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "value/compare.h"
@@ -37,6 +38,25 @@ void DeleteAs(void* p) {
   delete static_cast<T*>(p);
 }
 
+/// Inserts `id` into the sorted, deduplicated `ids`; false when present.
+bool SortedInsertUnique(std::vector<NodeId>* ids, NodeId id) {
+  if (ids->empty() || ids->back() < id) {  // common case: fresh node id
+    ids->push_back(id);
+    return true;
+  }
+  auto it = std::lower_bound(ids->begin(), ids->end(), id);
+  if (it != ids->end() && *it == id) return false;
+  ids->insert(it, id);
+  return true;
+}
+
+/// Smallest power of two >= max(n, 16).
+size_t TableCapacity(size_t n) {
+  size_t cap = 16;
+  while (cap < n) cap *= 2;
+  return cap;
+}
+
 }  // namespace
 
 // ---- Lifecycle ------------------------------------------------------------
@@ -58,10 +78,10 @@ PropertyGraph::PropertyGraph(const PropertyGraph& other)
   size_t num_labels = other.label_buckets_.size();
   label_buckets_.EnsureSize(num_labels);
   for (size_t s = 0; s < num_labels; ++s) {
-    const LabelBucket* head =
+    const NodeBucket* head =
         other.label_buckets_[s].head.load(std::memory_order_relaxed);
     if (head != nullptr) {
-      auto* bucket = new LabelBucket;
+      auto* bucket = new NodeBucket;
       bucket->ids = head->ids;
       label_buckets_[s].head.store(bucket, std::memory_order_relaxed);
     }
@@ -72,7 +92,33 @@ PropertyGraph::PropertyGraph(const PropertyGraph& other)
         other.label_counts_[s].load(std::memory_order_relaxed),
         std::memory_order_relaxed);
   }
-  property_indexes_ = other.property_indexes_;
+  // Indexes copy their newest postings, as base versions (since 0).
+  IndexList indexes;
+  for (const PropertyIndex* from : other.index_list()) {
+    auto* index = new PropertyIndex;
+    index->label = from->label;
+    index->key = from->key;
+    index->entries = from->entries;
+    index->stale_hint = from->stale_hint;
+    const PostingTable* table = from->table.load(std::memory_order_relaxed);
+    auto* copy = new PostingTable(table->capacity());
+    copy->used = table->used;
+    for (size_t i = 0; i < table->capacity(); ++i) {
+      const NodeBucket* head =
+          table->slots[i].head.head.load(std::memory_order_relaxed);
+      if (head == nullptr) continue;
+      auto* posting = new NodeBucket;
+      posting->ids = head->ids;
+      copy->slots[i].hash = table->slots[i].hash;
+      copy->slots[i].head.head.store(posting, std::memory_order_relaxed);
+    }
+    index->table.store(copy, std::memory_order_relaxed);
+    indexes.push_back(index);
+  }
+  if (!indexes.empty()) {
+    indexes_.store(new IndexList(std::move(indexes)),
+                   std::memory_order_relaxed);
+  }
   unique_constraints_ = other.unique_constraints_;
   index_epoch_.store(other.index_epoch_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
@@ -118,7 +164,9 @@ void PropertyGraph::StealFrom(PropertyGraph* other) noexcept {
   rel_chains_ = std::move(other->rel_chains_);
   label_buckets_ = std::move(other->label_buckets_);
   label_counts_ = std::move(other->label_counts_);
-  property_indexes_ = std::move(other->property_indexes_);
+  indexes_.store(other->indexes_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+  other->indexes_.store(nullptr, std::memory_order_relaxed);
   unique_constraints_ = std::move(other->unique_constraints_);
   index_epoch_.store(other->index_epoch_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
@@ -164,6 +212,11 @@ void PropertyGraph::DestroyVersions() {
   }
   for (size_t s = 0; s < label_buckets_.size(); ++s) {
     delete label_buckets_[s].head.load(std::memory_order_relaxed);
+  }
+  if (const IndexList* list = indexes_.load(std::memory_order_relaxed)) {
+    for (PropertyIndex* index : *list) FreeIndex(index);
+    delete list;
+    indexes_.store(nullptr, std::memory_order_relaxed);
   }
   retired_.Drain();
   delete published_.load(std::memory_order_relaxed);
@@ -279,25 +332,37 @@ RelData& PropertyGraph::MutableRel(RelId id) {
   return rec->data;
 }
 
-PropertyGraph::LabelBucket& PropertyGraph::MutableBucket(Symbol label) {
-  BucketHead& slot = label_buckets_[label];
-  LabelBucket* head = slot.head.load(std::memory_order_relaxed);
+PropertyGraph::NodeBucket& PropertyGraph::MutableBucket(BucketHead& slot) {
+  NodeBucket* head = slot.head.load(std::memory_order_relaxed);
   if (head == nullptr) {
-    // First node ever with this label. since = the installing epoch, so
-    // older pins resolve to "no bucket" (the label did not exist for them).
-    auto* bucket = new LabelBucket;
+    // First node ever with this label (or value). since = the installing
+    // epoch, so older pins resolve to "no bucket" (nothing was filed yet).
+    auto* bucket = new NodeBucket;
     bucket->since = mvcc_on_ ? write_epoch_ : 0;
     slot.head.store(bucket, std::memory_order_release);
     return *bucket;
   }
   if (!mvcc_on_ || head->since == write_epoch_) return *head;
-  auto* bucket = new LabelBucket;
+  auto* bucket = new NodeBucket;
   bucket->since = write_epoch_;
   bucket->prev = head;
-  bucket->ids = head->ids;
+  // Room for the insert that usually follows, so the copy is one allocation.
+  bucket->ids.reserve(head->ids.size() + 1);
+  bucket->ids.assign(head->ids.begin(), head->ids.end());
   slot.head.store(bucket, std::memory_order_release);
-  retired_.Add(head, &DeleteAs<LabelBucket>, write_epoch_);
+  retired_.Add(head, &DeleteAs<NodeBucket>, write_epoch_);
   return *bucket;
+}
+
+template <typename T>
+void PropertyGraph::Retire(T* ptr) {
+  // Retired at the write epoch: a pin that could have loaded `ptr` holds an
+  // older epoch, and reclamation waits until every pin reached this one.
+  if (mvcc_on_) {
+    retired_.Add(ptr, &DeleteAs<T>, write_epoch_);
+  } else {
+    delete ptr;
+  }
 }
 
 PropertyMap& PropertyGraph::MutableProps(EntityRef entity) {
@@ -453,10 +518,10 @@ bool PropertyGraph::AddLabel(NodeId id, Symbol label) {
   if (it != data.labels.end() && *it == label) return false;
   data.labels.insert(it, label);
   AddToLabelIndex(id, label);
-  for (const PropertyIndex& index : property_indexes_) {
-    if (index.label != label) continue;
-    const Value& value = data.props.Get(index.key);
-    if (!value.is_null()) IndexNodeKey(id, index.key);
+  for (PropertyIndex* index : index_list()) {
+    if (index->label != label) continue;
+    const Value& value = data.props.Get(index->key);
+    if (!value.is_null()) AddPosting(index, value, id);
   }
   Record({.kind = OpKind::kAddLabel,
           .entity = EntityRef::Node(id),
@@ -471,9 +536,9 @@ bool PropertyGraph::RemoveLabel(NodeId id, Symbol label) {
   if (it == data.labels.end() || *it != label) return false;
   data.labels.erase(it);
   DecLabelCount(label);
-  for (PropertyIndex& index : property_indexes_) {
-    if (index.label == label && !data.props.Get(index.key).is_null()) {
-      ++index.stale_hint;
+  for (PropertyIndex* index : index_list()) {
+    if (index->label == label && !data.props.Get(index->key).is_null()) {
+      ++index->stale_hint;
     }
   }
   Record({.kind = OpKind::kRemoveLabel,
@@ -490,11 +555,11 @@ bool PropertyGraph::SetProperty(EntityRef entity, Symbol key, Value value) {
   if (entity.kind == EntityRef::Kind::kNode) {
     if (!old.is_null()) {
       const NodeData& data = node(entity.AsNode());
-      for (PropertyIndex& index : property_indexes_) {
-        if (index.key == key &&
+      for (PropertyIndex* index : index_list()) {
+        if (index->key == key &&
             std::binary_search(data.labels.begin(), data.labels.end(),
-                               index.label)) {
-          ++index.stale_hint;  // the entry under the old value's hash
+                               index->label)) {
+          ++index->stale_hint;  // the entry under the old value's hash
         }
       }
     }
@@ -518,19 +583,16 @@ void PropertyGraph::ReplaceProperties(EntityRef entity, PropertyMap props) {
     // unchanged value stays valid, and image replay replaces the whole map
     // of every node a statement touched.
     const NodeData& data = node(entity.AsNode());
-    for (PropertyIndex& index : property_indexes_) {
+    for (PropertyIndex* index : index_list()) {
       if (!std::binary_search(data.labels.begin(), data.labels.end(),
-                              index.label)) {
+                              index->label)) {
         continue;
       }
-      const Value& old = target.Get(index.key);
-      const Value& now = props.Get(index.key);
+      const Value& old = target.Get(index->key);
+      const Value& now = props.Get(index->key);
       if (old.type() == now.type() && GroupEquals(old, now)) continue;
-      if (!old.is_null()) ++index.stale_hint;
-      if (!now.is_null()) {
-        index.buckets[HashValue(now)].push_back(entity.AsNode());
-        ++index.entries;
-      }
+      if (!old.is_null()) ++index->stale_hint;
+      if (!now.is_null()) AddPosting(index, now, entity.AsNode());
     }
   }
   target = std::move(props);
@@ -571,11 +633,11 @@ void PropertyGraph::DeleteNodeForce(NodeId id) {
           .old_props = data.props,
           .old_labels = data.labels});
   for (Symbol label : data.labels) DecLabelCount(label);
-  for (PropertyIndex& index : property_indexes_) {
+  for (PropertyIndex* index : index_list()) {
     if (std::binary_search(data.labels.begin(), data.labels.end(),
-                           index.label) &&
-        !data.props.Get(index.key).is_null()) {
-      ++index.stale_hint;
+                           index->label) &&
+        !data.props.Get(index->key).is_null()) {
+      ++index->stale_hint;
     }
   }
   data.alive = false;
@@ -758,13 +820,7 @@ void PropertyGraph::AddToLabelIndex(NodeId id, Symbol label) {
   // the cached cardinality is maintained here; removals decrement at their
   // own sites (the index bucket itself keeps stale ids — readers validate).
   IncLabelCount(label);
-  std::vector<NodeId>& bucket = MutableBucket(label).ids;
-  if (bucket.empty() || bucket.back() < id) {
-    bucket.push_back(id);
-    return;
-  }
-  auto it = std::lower_bound(bucket.begin(), bucket.end(), id);
-  if (it == bucket.end() || *it != id) bucket.insert(it, id);
+  SortedInsertUnique(&MutableBucket(label_buckets_[label]).ids, id);
 }
 
 // ---- Property indexes ---------------------------------------------------------
@@ -774,18 +830,27 @@ void PropertyGraph::CreateIndex(Symbol label, Symbol key) {
   if (FindPropertyIndex(label, key) != nullptr) return;
   CaptureDdl("index+", label, key);
   index_epoch_.fetch_add(1, std::memory_order_relaxed);
-  PropertyIndex index;
-  index.label = label;
-  index.key = key;
-  property_indexes_.push_back(std::move(index));
-  PropertyIndex& created = property_indexes_.back();
+  auto* index = new PropertyIndex;
+  index->label = label;
+  index->key = key;
+  index->since = mvcc_on_ ? write_epoch_ : 0;
+  index->table.store(new PostingTable(TableCapacity(0)),
+                     std::memory_order_relaxed);
+  // Filled before publication, so no reader sees a partial index.
   for (NodeId id : NodesByLabel(label)) {
     const Value& value = node(id).props.Get(key);
-    if (!value.is_null()) {
-      created.buckets[HashValue(value)].push_back(id);
-      ++created.entries;
-    }
+    if (!value.is_null()) AddPosting(index, value, id);
   }
+  IndexList list = index_list();
+  list.push_back(index);
+  PublishIndexList(std::move(list));
+}
+
+void PropertyGraph::PublishIndexList(IndexList list) {
+  const IndexList* old = indexes_.load(std::memory_order_relaxed);
+  indexes_.store(list.empty() ? nullptr : new IndexList(std::move(list)),
+                 std::memory_order_release);
+  if (old != nullptr) Retire(const_cast<IndexList*>(old));
 }
 
 bool PropertyGraph::HasIndex(Symbol label, Symbol key) const {
@@ -794,34 +859,51 @@ bool PropertyGraph::HasIndex(Symbol label, Symbol key) const {
 
 std::vector<std::pair<Symbol, Symbol>> PropertyGraph::Indexes() const {
   std::vector<std::pair<Symbol, Symbol>> out;
-  out.reserve(property_indexes_.size());
-  for (const PropertyIndex& index : property_indexes_) {
-    out.emplace_back(index.label, index.key);
+  for (const PropertyIndex* index : index_list()) {
+    out.emplace_back(index->label, index->key);
   }
   return out;
 }
 
 std::vector<NodeId> PropertyGraph::IndexLookup(Symbol label, Symbol key,
                                                const Value& value) const {
-  // Index buckets are plain unordered_maps mutated in place by the writer;
-  // they are not versioned, so snapshot sessions must never reach them
-  // (their plans compile without index anchors).
-  CYPHER_CHECK(ActivePin() == nullptr && "IndexLookup under a snapshot pin");
+  const ReadPin* pin = ActivePin();
   std::vector<NodeId> out;
-  const PropertyIndex* index = FindPropertyIndex(label, key);
-  CYPHER_CHECK(index != nullptr && "IndexLookup without an index");
-  auto it = index->buckets.find(HashValue(value));
-  if (it == index->buckets.end()) return out;
-  for (NodeId id : it->second) {
-    if (!IsNodeAlive(id)) continue;
-    if (!NodeHasLabel(id, label)) continue;
-    const Value& stored = node(id).props.Get(key);
-    if (!GroupEquals(stored, value)) continue;
-    out.push_back(id);
+  auto keep = [&](NodeId id) {
+    const NodeData* data = AliveNodeAt(id, pin);
+    if (data != nullptr &&
+        std::binary_search(data->labels.begin(), data->labels.end(),
+                           label) &&
+        GroupEquals(data->props.Get(key), value)) {
+      out.push_back(id);
+    }
+    return true;
+  };
+  const std::vector<NodeId>* ids = nullptr;
+  if (!IndexPostings(label, key, value, pin, &ids)) {
+    ForEachNodeWithLabel(label, keep);
+  } else if (ids != nullptr) {
+    for (NodeId id : *ids) keep(id);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+bool PropertyGraph::IndexPostings(Symbol label, Symbol key,
+                                  const Value& value, const ReadPin* pin,
+                                  const std::vector<NodeId>** ids) const {
+  const PropertyIndex* index = FindPropertyIndex(label, key);
+  if (index == nullptr || (pin != nullptr && index->since > pin->epoch)) {
+    return false;
+  }
+  *ids = nullptr;
+  const BucketHead* head =
+      index->table.load(std::memory_order_acquire)->Find(HashValue(value));
+  if (head == nullptr) return true;
+  const NodeBucket* posting = pin != nullptr
+                                  ? ResolveVersion(*head, pin->epoch)
+                                  : head->head.load(std::memory_order_acquire);
+  if (posting != nullptr) *ids = &posting->ids;
+  return true;
 }
 
 size_t PropertyGraph::IndexEntryCount(Symbol label, Symbol key) const {
@@ -830,53 +912,74 @@ size_t PropertyGraph::IndexEntryCount(Symbol label, Symbol key) const {
 }
 
 void PropertyGraph::CompactIndexes() {
-  for (PropertyIndex& index : property_indexes_) {
+  for (PropertyIndex* index : index_list()) {
     // Amortize: only sweep an index once at least half its entries are
     // suspected stale (deleted / relabeled / value-changed nodes).
-    if (index.entries == 0 || index.stale_hint * 2 < index.entries) continue;
-    index.stale_hint = 0;
-    auto valid = [&](uint64_t hash, NodeId id) {
-      if (!IsNodeAlive(id) || !NodeHasLabel(id, index.label)) return false;
-      const Value& value = node(id).props.Get(index.key);
-      return !value.is_null() && HashValue(value) == hash;
-    };
+    if (index->entries == 0 || index->stale_hint * 2 < index->entries) {
+      continue;
+    }
+    index->stale_hint = 0;
+    PostingTable* table = index->table.load(std::memory_order_relaxed);
+    const uint64_t horizon = PostingHorizon();
     size_t total = 0;
-    for (auto it = index.buckets.begin(); it != index.buckets.end();) {
-      std::vector<NodeId>& bucket = it->second;
+    size_t droppable = 0;
+    for (size_t i = 0; i < table->capacity(); ++i) {
+      PostingTable::Slot& slot = table->slots[i];
+      const NodeBucket* posting =
+          slot.head.head.load(std::memory_order_relaxed);
+      if (posting == nullptr) continue;
       std::vector<NodeId> kept;
-      kept.reserve(bucket.size());
-      for (NodeId id : bucket) {
-        if (valid(it->first, id)) kept.push_back(id);
-      }
-      std::sort(kept.begin(), kept.end());
-      kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
-      // Rewrite only buckets whose stale ratio (dead, relabeled, rehashed,
-      // or duplicate entries) exceeds 50%; others keep their storage.
-      if ((bucket.size() - kept.size()) * 2 > bucket.size()) {
-        if (kept.empty()) {
-          it = index.buckets.erase(it);
+      kept.reserve(posting->ids.size());
+      for (NodeId id : posting->ids) {
+        const NodeData* data = AliveNodeAt(id, nullptr);
+        if (data == nullptr ||
+            !std::binary_search(data->labels.begin(), data->labels.end(),
+                                index->label)) {
           continue;
         }
-        bucket = std::move(kept);
+        const Value& value = data->props.Get(index->key);
+        if (!value.is_null() && HashValue(value) == slot.hash) {
+          kept.push_back(id);
+        }
       }
-      total += bucket.size();
-      ++it;
+      // Rewrite only postings whose stale ratio (dead, relabeled or
+      // rehashed entries) exceeds 50%; others keep their storage. With
+      // MVCC the rewrite is a new version: older pins keep the entries.
+      size_t size = posting->ids.size();
+      if ((size - kept.size()) * 2 > size) {
+        size = kept.size();
+        MutableBucket(slot.head).ids = std::move(kept);
+      }
+      total += size;
+      posting = slot.head.head.load(std::memory_order_relaxed);
+      if (posting->ids.empty() && posting->since <= horizon) ++droppable;
     }
-    index.entries = total;
+    index->entries = total;
+    // Values no node holds any more (each fresh value a workload deletes
+    // again) would otherwise keep their slots until the table next grows.
+    if (droppable > 0 && droppable * 4 >= table->used) {
+      RebuildPostings(index, 0);
+    }
   }
 }
 
 void PropertyGraph::DropIndex(Symbol label, Symbol key) {
   AssertMutable();
-  for (size_t i = 0; i < property_indexes_.size(); ++i) {
-    if (property_indexes_[i].label == label &&
-        property_indexes_[i].key == key) {
-      property_indexes_.erase(property_indexes_.begin() +
-                              static_cast<ptrdiff_t>(i));
-      index_epoch_.fetch_add(1, std::memory_order_relaxed);
-      CaptureDdl("index-", label, key);
-      return;
+  IndexList list = index_list();
+  for (size_t i = 0; i < list.size(); ++i) {
+    PropertyIndex* index = list[i];
+    if (index->label != label || index->key != key) continue;
+    list.erase(list.begin() + static_cast<ptrdiff_t>(i));
+    PublishIndexList(std::move(list));
+    // Pinned seeks may still be walking the dropped index.
+    if (mvcc_on_) {
+      retired_.Add(index, &FreeIndex, write_epoch_);
+    } else {
+      FreeIndex(index);
     }
+    index_epoch_.fetch_add(1, std::memory_order_relaxed);
+    CaptureDdl("index-", label, key);
+    return;
   }
 }
 
@@ -953,52 +1056,131 @@ Status PropertyGraph::ValidateUniqueConstraints() const {
   return Status::OK();
 }
 
-PropertyGraph::PropertyIndex* PropertyGraph::FindPropertyIndex(Symbol label,
-                                                               Symbol key) {
-  for (PropertyIndex& index : property_indexes_) {
-    if (index.label == label && index.key == key) return &index;
+const PropertyGraph::PropertyIndex* PropertyGraph::FindPropertyIndex(
+    Symbol label, Symbol key) const {
+  for (const PropertyIndex* index : index_list()) {
+    if (index->label == label && index->key == key) return index;
   }
   return nullptr;
 }
 
-const PropertyGraph::PropertyIndex* PropertyGraph::FindPropertyIndex(
-    Symbol label, Symbol key) const {
-  for (const PropertyIndex& index : property_indexes_) {
-    if (index.label == label && index.key == key) return &index;
+void PropertyGraph::AddPosting(PropertyIndex* index, const Value& value,
+                               NodeId id) {
+  BucketHead& head = PostingHead(index, HashValue(value));
+  const NodeBucket* newest = head.head.load(std::memory_order_relaxed);
+  // Already filed (a value set back, a node indexed again): no new version.
+  if (newest != nullptr &&
+      std::binary_search(newest->ids.begin(), newest->ids.end(), id)) {
+    return;
   }
-  return nullptr;
+  if (SortedInsertUnique(&MutableBucket(head).ids, id)) ++index->entries;
+}
+
+PropertyGraph::BucketHead& PropertyGraph::PostingHead(PropertyIndex* index,
+                                                      uint64_t hash) {
+  PostingTable* table = index->table.load(std::memory_order_relaxed);
+  size_t i = table->Home(hash);
+  for (;; i = (i + 1) & table->mask) {
+    PostingTable::Slot& slot = table->slots[i];
+    if (slot.head.head.load(std::memory_order_relaxed) == nullptr) break;
+    if (slot.hash == hash) return slot.head;
+  }
+  // Absent: claim a slot, keeping the table at most half full. The caller
+  // installs the first posting (MutableBucket), which publishes the slot.
+  if ((table->used + 1) * 2 > table->capacity()) {
+    RebuildPostings(index, 1);
+    table = index->table.load(std::memory_order_relaxed);
+    i = table->Home(hash);
+    while (table->slots[i].head.head.load(std::memory_order_relaxed) !=
+           nullptr) {
+      i = (i + 1) & table->mask;
+    }
+  }
+  ++table->used;
+  table->slots[i].hash = hash;
+  return table->slots[i].head;
+}
+
+void PropertyGraph::RebuildPostings(PropertyIndex* index, size_t extra) {
+  PostingTable* old = index->table.load(std::memory_order_relaxed);
+  const uint64_t horizon = PostingHorizon();
+  auto droppable = [horizon](const NodeBucket* posting) {
+    return posting->ids.empty() && posting->since <= horizon;
+  };
+  size_t live = 0;
+  for (size_t i = 0; i < old->capacity(); ++i) {
+    const NodeBucket* posting =
+        old->slots[i].head.head.load(std::memory_order_relaxed);
+    if (posting != nullptr && !droppable(posting)) ++live;
+  }
+  auto* fresh = new PostingTable(TableCapacity(2 * (live + extra) + 1));
+  for (size_t i = 0; i < old->capacity(); ++i) {
+    NodeBucket* posting =
+        old->slots[i].head.head.load(std::memory_order_relaxed);
+    if (posting == nullptr) continue;
+    if (droppable(posting)) {
+      Retire(posting);
+      continue;
+    }
+    uint64_t hash = old->slots[i].hash;
+    size_t j = fresh->Home(hash);
+    while (fresh->slots[j].head.head.load(std::memory_order_relaxed) !=
+           nullptr) {
+      j = (j + 1) & fresh->mask;
+    }
+    fresh->slots[j].hash = hash;
+    fresh->slots[j].head.head.store(posting, std::memory_order_relaxed);
+    ++fresh->used;
+  }
+  index->table.store(fresh, std::memory_order_release);
+  Retire(old);
+}
+
+uint64_t PropertyGraph::PostingHorizon() const {
+  // A posting that emptied at or before the epoch of every live pin and of
+  // the newest publication (where new pins start) answers every present and
+  // future reader exactly as an absent value does. Without MVCC every
+  // posting is a base version (since 0).
+  if (!mvcc_on_) return 0;
+  return std::min(registry_->MinActive(), published_epoch());
+}
+
+void PropertyGraph::FreeIndex(void* ptr) {
+  auto* index = static_cast<PropertyIndex*>(ptr);
+  PostingTable* table = index->table.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < table->capacity(); ++i) {
+    delete table->slots[i].head.head.load(std::memory_order_relaxed);
+  }
+  delete table;
+  delete index;
 }
 
 void PropertyGraph::IndexNode(NodeId id) {
-  if (property_indexes_.empty()) return;
+  const IndexList& indexes = index_list();
+  if (indexes.empty()) return;
   const NodeData& data = NodeLatest(id.value);
-  for (PropertyIndex& index : property_indexes_) {
+  for (PropertyIndex* index : indexes) {
     if (!std::binary_search(data.labels.begin(), data.labels.end(),
-                            index.label)) {
+                            index->label)) {
       continue;
     }
-    const Value& value = data.props.Get(index.key);
-    if (!value.is_null()) {
-      index.buckets[HashValue(value)].push_back(id);
-      ++index.entries;
-    }
+    const Value& value = data.props.Get(index->key);
+    if (!value.is_null()) AddPosting(index, value, id);
   }
 }
 
 void PropertyGraph::IndexNodeKey(NodeId id, Symbol key) {
-  if (property_indexes_.empty()) return;
+  const IndexList& indexes = index_list();
+  if (indexes.empty()) return;
   const NodeData& data = NodeLatest(id.value);
-  for (PropertyIndex& index : property_indexes_) {
-    if (index.key != key) continue;
+  for (PropertyIndex* index : indexes) {
+    if (index->key != key) continue;
     if (!std::binary_search(data.labels.begin(), data.labels.end(),
-                            index.label)) {
+                            index->label)) {
       continue;
     }
-    const Value& value = data.props.Get(index.key);
-    if (!value.is_null()) {
-      index.buckets[HashValue(value)].push_back(id);
-      ++index.entries;
-    }
+    const Value& value = data.props.Get(index->key);
+    if (!value.is_null()) AddPosting(index, value, id);
   }
 }
 

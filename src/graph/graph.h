@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -162,26 +161,67 @@ class PropertyGraph {
     return id.value < rels_.size();
   }
   bool IsNodeAlive(NodeId id) const {
-    return IsValidNode(id) && node(id).alive;
+    return AliveNodeAt(id, ActivePin()) != nullptr;
   }
-  bool IsRelAlive(RelId id) const { return IsValidRel(id) && rel(id).alive; }
+  bool IsRelAlive(RelId id) const {
+    return AliveRelAt(id, ActivePin()) != nullptr;
+  }
 
-  const NodeData& node(NodeId id) const {
-    if (!mvcc_on_) return nodes_[id.value];
-    if (const ReadPin* pin = ActivePin()) {
-      return ResolveNode(id.value, pin->epoch);
-    }
-    return NodeLatest(id.value);
-  }
+  const NodeData& node(NodeId id) const { return NodeAt(id, ActivePin()); }
   const RelData& rel(RelId id) const {
-    if (!mvcc_on_) return rels_[id.value];
-    if (const ReadPin* pin = ActivePin()) {
-      return ResolveRel(id.value, pin->epoch);
-    }
-    return RelLatest(id.value);
+    const ReadPin* pin = ActivePin();
+    return pin != nullptr ? ResolveRel(id.value, pin->epoch)
+                          : RelLatest(id.value);
   }
 
   bool NodeHasLabel(NodeId id, Symbol label) const;
+
+  // ---- Single-resolution access -------------------------------------------
+  //
+  // The accessors above look up the thread's pin and walk the version chain
+  // on every call. Hot loops (the matcher) read the pin once with
+  // ActivePin() and resolve each entity once through these instead.
+
+  /// The calling thread's pin when it targets this graph, else nullptr
+  /// (also without MVCC).
+  const ReadPin* ActivePin() const {
+    if (!mvcc_on_) return nullptr;
+    const ReadPin& pin = CurrentThreadReadPin();
+    return (pin.active && pin.owner == this) ? &pin : nullptr;
+  }
+
+  /// The record of `id` as `pin` (from ActivePin(); null = latest state)
+  /// sees it. `id` must be valid in that state (an endpoint of a
+  /// relationship visible there always is).
+  const NodeData& NodeAt(NodeId id, const ReadPin* pin) const {
+    return pin != nullptr ? ResolveNode(id.value, pin->epoch)
+                          : NodeLatest(id.value);
+  }
+
+  /// The record of `id` as `pin` sees it, or nullptr when the slot lies
+  /// outside that state or the entity is dead.
+  const NodeData* AliveNodeAt(NodeId id, const ReadPin* pin) const {
+    const NodeData* data;
+    if (pin != nullptr) {
+      if (id.value >= pin->node_slots) return nullptr;
+      data = &ResolveNode(id.value, pin->epoch);
+    } else {
+      if (id.value >= nodes_.size()) return nullptr;
+      data = &NodeLatest(id.value);
+    }
+    return data->alive ? data : nullptr;
+  }
+  const RelData* AliveRelAt(RelId id, const ReadPin* pin) const {
+    const RelData* data;
+    if (pin != nullptr) {
+      if (id.value >= pin->rel_slots) return nullptr;
+      data = &ResolveRel(id.value, pin->epoch);
+    } else {
+      if (id.value >= rels_.size()) return nullptr;
+      data = &RelLatest(id.value);
+    }
+    return data->alive ? data : nullptr;
+  }
 
   /// Alive node count / alive relationship count (latest state; planner
   /// hints, not snapshot-resolved).
@@ -262,7 +302,7 @@ class PropertyGraph {
   /// bucket. Pairs with ForEachNodeWithLabelInRange. Pin-aware: a pinned
   /// thread sees its epoch's bucket, so domain and walk agree.
   size_t LabelBucketSize(Symbol label) const {
-    const LabelBucket* bucket = BucketFor(label);
+    const NodeBucket* bucket = BucketFor(label);
     return bucket == nullptr ? 0 : bucket->ids.size();
   }
 
@@ -272,23 +312,15 @@ class PropertyGraph {
   void ForEachNodeWithLabelInRange(Symbol label, size_t begin, size_t end,
                                    Fn&& fn) const {
     const ReadPin* pin = ActivePin();
-    const LabelBucket* bucket =
+    const NodeBucket* bucket =
         pin != nullptr ? ResolveBucket(label, pin->epoch) : BucketFor(label);
     if (bucket == nullptr) return;
     const std::vector<NodeId>& ids = bucket->ids;
     end = std::min(end, ids.size());
     for (size_t i = begin; i < end; ++i) {
       NodeId id = ids[i];
-      const NodeData* data;
-      if (pin != nullptr) {
-        if (id.value >= pin->node_slots) continue;
-        data = &ResolveNode(id.value, pin->epoch);
-      } else if (mvcc_on_) {
-        data = &NodeLatest(id.value);
-      } else {
-        data = &nodes_[id.value];
-      }
-      if (!data->alive) continue;
+      const NodeData* data = AliveNodeAt(id, pin);
+      if (data == nullptr) continue;
       if (!std::binary_search(data->labels.begin(), data->labels.end(),
                               label)) {
         continue;
@@ -339,16 +371,6 @@ class PropertyGraph {
     }
   }
 
-  /// Raw sorted adjacency (no aliveness filtering) — the matcher's expansion
-  /// cursor merge-walks these directly. The reference is stable while the
-  /// caller's pin (or, for the writer, the current statement) is live.
-  const std::vector<RelId>& RawOutRels(NodeId id) const {
-    return node(id).out_rels;
-  }
-  const std::vector<RelId>& RawInRels(NodeId id) const {
-    return node(id).in_rels;
-  }
-
   // ---- Mutation -----------------------------------------------------------
 
   /// Adds a label; returns true if the node changed.
@@ -381,11 +403,16 @@ class PropertyGraph {
   bool HasDanglingRels() const;
 
   // ---- Property indexes -----------------------------------------------------
+  //
+  // An index maps value hashes to posting lists of node ids. Postings are
+  // versioned like label buckets, and the index list and each hash table
+  // are replaced wholesale (and the old copy retired) when they change
+  // shape, so pinned readers seek them lock-free while the writer inserts.
 
   /// Creates (or re-creates, idempotently) a hash index over
   /// (label, property key). Existing nodes are indexed immediately; later
   /// mutations maintain the index. Lookups validate entries against the
-  /// live graph, so rolled-back states can never serve stale matches.
+  /// graph, so rolled-back states can never serve stale matches.
   void CreateIndex(Symbol label, Symbol key);
 
   bool HasIndex(Symbol label, Symbol key) const;
@@ -424,15 +451,27 @@ class PropertyGraph {
   Status ValidateUniqueConstraints() const;
 
   /// Alive nodes with `label` whose `key` property is group-equal to
-  /// `value`, ascending. Only valid when HasIndex(label, key). Writer-only:
-  /// index buckets are not versioned, so pinned snapshot sessions compile
-  /// plans without index anchors and must never call this.
+  /// `value`, ascending, in the calling thread's snapshot (latest state
+  /// when unpinned). Served by IndexPostings, or by a label scan when the
+  /// index cannot serve the snapshot.
   std::vector<NodeId> IndexLookup(Symbol label, Symbol key,
                                   const Value& value) const;
 
+  /// The (label, key) index's posting for `value` as `pin` (from
+  /// ActivePin(); null = latest state) sees it: ascending unique ids, a
+  /// superset of the alive `label` nodes whose `key` equals `value` then.
+  /// Entries of dead, relabeled or re-valued nodes and hash collisions stay
+  /// until compaction, so callers re-check each id. `*ids` is null when
+  /// nothing is filed under the value. Returns false when the index cannot
+  /// serve the snapshot — it does not exist (any more), or it was created
+  /// after the pin's epoch — and the caller must scan the label instead.
+  bool IndexPostings(Symbol label, Symbol key, const Value& value,
+                     const ReadPin* pin,
+                     const std::vector<NodeId>** ids) const;
+
   /// Total entries stored for the (label, key) index, including stale ones
   /// awaiting compaction; 0 when no such index exists. Observability hook
-  /// for the compaction policy (tests, monitoring).
+  /// for the compaction policy (tests, monitoring). Writer-only.
   size_t IndexEntryCount(Symbol label, Symbol key) const;
 
   // ---- Single-writer epoch --------------------------------------------------
@@ -613,28 +652,72 @@ class PropertyGraph {
     std::atomic<VersionRec<T>*> head{nullptr};
   };
 
-  /// One label-index bucket version: sorted, deduplicated, may hold stale
-  /// ids (dead or relabeled nodes — readers validate). `since`/`prev` are
+  /// One version of a node-id bucket — a label-index bucket or a
+  /// property-index posting: sorted, deduplicated, may hold stale ids (dead,
+  /// relabeled or re-valued nodes — readers validate). `since`/`prev` are
   /// immutable after publication; `ids` is mutable only while `since` is
   /// the unpublished write epoch (and, without MVCC, always: the single
-  /// base version is edited in place, exactly like the old flat index).
-  struct LabelBucket {
+  /// base version is edited in place).
+  struct NodeBucket {
     uint64_t since = 0;
-    LabelBucket* prev = nullptr;
+    NodeBucket* prev = nullptr;
     std::vector<NodeId> ids;
   };
   struct BucketHead {
-    std::atomic<LabelBucket*> head{nullptr};
+    std::atomic<NodeBucket*> head{nullptr};
   };
 
-  // ---- Snapshot resolution (lock-free read hot path) ----------------------
+  /// The open-addressing table of one property index: value hash -> the
+  /// head of that value's posting chain. Readers probe it lock-free while
+  /// the writer inserts: the writer claims an empty slot by writing `hash`
+  /// and then release-storing the first posting into `head`; a reader
+  /// stops at the first slot whose head it loads as null and reads `hash`
+  /// only after loading a non-null head. Slots are never cleared; the table
+  /// is replaced wholesale when it fills (see RebuildPostings) and the old
+  /// one retired. Freeing a table frees its slot array, not the postings.
+  struct PostingTable {
+    struct Slot {
+      uint64_t hash = 0;
+      BucketHead head;
+    };
+    explicit PostingTable(size_t capacity)
+        : mask(capacity - 1), slots(new Slot[capacity]) {}
+    size_t capacity() const { return mask + 1; }
+    /// First slot of `hash`'s probe sequence (Fibonacci hashing).
+    size_t Home(uint64_t hash) const {
+      return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    }
+    /// The chain head filed under `hash`, or nullptr (any thread).
+    const BucketHead* Find(uint64_t hash) const {
+      for (size_t i = Home(hash);; i = (i + 1) & mask) {
+        if (slots[i].head.head.load(std::memory_order_acquire) == nullptr) {
+          return nullptr;
+        }
+        if (slots[i].hash == hash) return &slots[i].head;
+      }
+    }
 
-  /// The calling thread's pin when it targets this graph, else nullptr.
-  const ReadPin* ActivePin() const {
-    if (!mvcc_on_) return nullptr;
-    const ReadPin& pin = CurrentThreadReadPin();
-    return (pin.active && pin.owner == this) ? &pin : nullptr;
-  }
+    size_t mask;
+    size_t used = 0;  // claimed slots (writer-only)
+    std::unique_ptr<Slot[]> slots;
+  };
+
+  /// One property index. `label`, `key` and `since` are immutable once the
+  /// index is published; `table` is replaced with release stores;
+  /// `entries` and `stale_hint` are writer-only.
+  struct PropertyIndex {
+    Symbol label = kNoSymbol;
+    Symbol key = kNoSymbol;
+    /// The write epoch that created the index: older pins cannot use it.
+    uint64_t since = 0;
+    std::atomic<PostingTable*> table{nullptr};
+    size_t entries = 0;     // total ids across postings
+    size_t stale_hint = 0;  // upper bound on entries gone stale since sweep
+  };
+  /// The published index list, in creation order; replaced wholesale.
+  using IndexList = std::vector<PropertyIndex*>;
+
+  // ---- Snapshot resolution (lock-free read hot path) ----------------------
 
   /// The newest version of slot `i` visible at `epoch`: walk the chain
   /// (newest first) past versions installed later, fall back to the frozen
@@ -652,12 +735,15 @@ class PropertyGraph {
     while (rec != nullptr && rec->since > epoch) rec = rec->prev;
     return rec != nullptr ? rec->data : rels_[slot];
   }
-  const LabelBucket* ResolveBucket(Symbol label, uint64_t epoch) const {
-    if (label == kNoSymbol || label >= label_buckets_.size()) return nullptr;
-    const LabelBucket* b =
-        label_buckets_[label].head.load(std::memory_order_acquire);
+  static const NodeBucket* ResolveVersion(const BucketHead& slot,
+                                          uint64_t epoch) {
+    const NodeBucket* b = slot.head.load(std::memory_order_acquire);
     while (b != nullptr && b->since > epoch) b = b->prev;
     return b;
+  }
+  const NodeBucket* ResolveBucket(Symbol label, uint64_t epoch) const {
+    if (label == kNoSymbol || label >= label_buckets_.size()) return nullptr;
+    return ResolveVersion(label_buckets_[label], epoch);
   }
 
   /// Latest (writer-visible) version of a slot, chains included.
@@ -675,7 +761,7 @@ class PropertyGraph {
   }
 
   /// Pin-aware bucket dispatch (latest when unpinned).
-  const LabelBucket* BucketFor(Symbol label) const {
+  const NodeBucket* BucketFor(Symbol label) const {
     if (const ReadPin* pin = ActivePin()) {
       return ResolveBucket(label, pin->epoch);
     }
@@ -692,8 +778,16 @@ class PropertyGraph {
   /// the superseded record.
   NodeData& MutableNode(NodeId id);
   RelData& MutableRel(RelId id);
-  LabelBucket& MutableBucket(Symbol label);
+  /// The current-statement version of a bucket chain (label bucket or
+  /// posting), installing the first version or a copy of the newest
+  /// published one on first touch, like MutableNode.
+  NodeBucket& MutableBucket(BucketHead& slot);
   PropertyMap& MutableProps(EntityRef entity);
+
+  /// Frees `ptr` once no pin can reach it: through the retire list with
+  /// MVCC, at once without (no reader runs beside a mutation then).
+  template <typename T>
+  void Retire(T* ptr);
 
   /// Grows the dense per-label bucket/count tables to cover `label`.
   void EnsureLabelSlots(Symbol label);
@@ -706,27 +800,44 @@ class PropertyGraph {
   void RelinkRel(RelId id);
   void AddToLabelIndex(NodeId id, Symbol label);
 
-  /// Value-hash buckets; entries are validated on read and appended blindly
-  /// during a statement (tombstone-tolerant, rollback-tolerant: rollback
-  /// resurrects nodes without touching the index, so stale entries simply
-  /// become valid again). Compaction therefore only runs from CommitTo once
-  /// the journal is empty — past that point no rollback can resurrect a
-  /// pruned entry.
-  struct PropertyIndex {
-    Symbol label;
-    Symbol key;
-    std::unordered_map<uint64_t, std::vector<NodeId>> buckets;
-    size_t entries = 0;     // total ids across buckets
-    size_t stale_hint = 0;  // upper bound on entries gone stale since sweep
-  };
+  // Property-index maintenance. Postings are filed blindly on every write
+  // that gives a node a (label, value) pair and are validated on read: a
+  // rollback resurrects nodes and values without touching the index, so
+  // their stale entries simply become valid again. Compaction therefore
+  // only runs from CommitTo once the journal is empty — past that point no
+  // rollback can resurrect a pruned entry — and, with MVCC, installs new
+  // posting versions so older pins keep the entries they still need.
 
-  /// Compacts buckets whose stale ratio exceeds 50% (dead / relabeled /
-  /// value-changed / duplicate entries). Only safe when the journal is
-  /// empty; see PropertyIndex.
+  /// Compacts postings whose stale ratio exceeds 50% (dead / relabeled /
+  /// value-changed entries), in indexes at least half stale. Only safe
+  /// when the journal is empty.
   void CompactIndexes();
 
-  PropertyIndex* FindPropertyIndex(Symbol label, Symbol key);
+  /// The published index list (empty when none was ever created).
+  const IndexList& index_list() const {
+    static const IndexList kEmpty;
+    const IndexList* list = indexes_.load(std::memory_order_acquire);
+    return list == nullptr ? kEmpty : *list;
+  }
+  /// Publishes `list` as the index list and retires the previous one.
+  void PublishIndexList(IndexList list);
+
   const PropertyIndex* FindPropertyIndex(Symbol label, Symbol key) const;
+
+  /// Files `id` under `value` in `index` (writer-only).
+  void AddPosting(PropertyIndex* index, const Value& value, NodeId id);
+  /// The chain head of `hash` in `index`, claiming a slot when absent.
+  BucketHead& PostingHead(PropertyIndex* index, uint64_t hash);
+  /// Replaces `index`'s table by one sized for its live keys plus `extra`
+  /// slots, dropping keys whose postings are droppable: empty since an
+  /// epoch at or below PostingHorizon().
+  void RebuildPostings(PropertyIndex* index, size_t extra);
+  /// An empty posting whose `since` is at or below this epoch is what every
+  /// present and future pin sees of its value: it can be dropped.
+  uint64_t PostingHorizon() const;
+  /// Frees an index with its table and posting heads (older posting
+  /// versions sit in the retire list).
+  static void FreeIndex(void* index);
 
   /// Inserts `id` into every index it currently satisfies (used on node
   /// creation and label addition).
@@ -768,7 +879,8 @@ class PropertyGraph {
   SlotVector<BucketHead> label_buckets_;
   SlotVector<std::atomic<int64_t>> label_counts_;
 
-  std::vector<PropertyIndex> property_indexes_;
+  /// The index list (shared with readers; null = none ever created).
+  std::atomic<const IndexList*> indexes_{nullptr};
   std::vector<std::pair<Symbol, Symbol>> unique_constraints_;
   std::atomic<uint64_t> index_epoch_{0};
   std::atomic<size_t> alive_nodes_{0};

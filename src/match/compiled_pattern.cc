@@ -208,21 +208,18 @@ class Compiler {
       plan.cost = 0;
       return plan;
     }
-    // Property indexes are unversioned writer-side structures (IndexLookup
-    // asserts no pin is active), so snapshot-session compiles never anchor
-    // on them — they fall through to pin-aware label/all scans instead.
-    if (ctx_.read_pin == nullptr) {
-      for (Symbol label : node.labels) {
-        for (size_t i = 0; i < node.filters.size(); ++i) {
-          Symbol key = node.filters[i].key;
-          if (key == kNoSymbol || !graph_.HasIndex(label, key)) continue;
-          plan.kind = AnchorKind::kIndex;
-          plan.label = label;
-          plan.key = key;
-          plan.index_filter = i;
-          plan.cost = 1;
-          return plan;
-        }
+    // Pinned compiles anchor on indexes too: postings are versioned, and a
+    // seek whose index postdates the pin scans the label at run time.
+    for (Symbol label : node.labels) {
+      for (size_t i = 0; i < node.filters.size(); ++i) {
+        Symbol key = node.filters[i].key;
+        if (key == kNoSymbol || !graph_.HasIndex(label, key)) continue;
+        plan.kind = AnchorKind::kIndex;
+        plan.label = label;
+        plan.key = key;
+        plan.index_filter = i;
+        plan.cost = 1;
+        return plan;
       }
     }
     Symbol scan_label = kNoSymbol;

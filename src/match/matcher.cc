@@ -17,58 +17,74 @@ namespace {
 const Value kNullValue;
 
 /// A candidate traversal step: an alive relationship leaving `from` toward
-/// `to` (direction already resolved).
+/// `to` (direction already resolved), with its resolved record.
 struct RelCandidate {
   RelId rel;
   NodeId to;
+  const RelData* data;
 };
 
 /// Zero-copy enumeration of traversal candidates from one node: merge-walks
-/// the (sorted) out/in adjacency lists directly, yielding candidates in
-/// ascending relationship-id order (the determinism contract) without
-/// materializing a vector.
+/// the (sorted) out/in adjacency lists of its record directly, yielding
+/// candidates in ascending relationship-id order (the determinism contract)
+/// without materializing a vector. Each relationship resolves once, against
+/// `pin` (the engine's; null = latest state).
 class RelCandidateCursor {
  public:
-  RelCandidateCursor(const PropertyGraph& graph, NodeId from, RelDirection dir)
+  RelCandidateCursor(const PropertyGraph& graph, const ReadPin* pin,
+                     const NodeData& from, RelDirection dir)
       : graph_(graph),
-        out_(graph.RawOutRels(from)),
-        in_(graph.RawInRels(from)),
+        pin_(pin),
+        out_(from.out_rels),
+        in_(from.in_rels),
         want_out_(dir != RelDirection::kRightToLeft),
         want_in_(dir != RelDirection::kLeftToRight) {}
 
   bool Next(RelCandidate* cand) {
     while (true) {
-      if (want_out_) {
-        while (oi_ < out_.size() && !graph_.IsRelAlive(out_[oi_])) ++oi_;
+      if (want_out_ && out_data_ == nullptr) {
+        while (oi_ < out_.size() &&
+               (out_data_ = graph_.AliveRelAt(out_[oi_], pin_)) == nullptr) {
+          ++oi_;
+        }
       }
-      if (want_in_) {
-        while (ii_ < in_.size() && !graph_.IsRelAlive(in_[ii_])) ++ii_;
+      if (want_in_ && in_data_ == nullptr) {
+        while (ii_ < in_.size() &&
+               (in_data_ = graph_.AliveRelAt(in_[ii_], pin_)) == nullptr) {
+          ++ii_;
+        }
       }
-      bool have_out = want_out_ && oi_ < out_.size();
-      bool have_in = want_in_ && ii_ < in_.size();
+      bool have_out = out_data_ != nullptr;
+      bool have_in = in_data_ != nullptr;
       if (!have_out && !have_in) return false;
       // On equal ids (a self-loop listed on both sides) the out side wins.
       if (have_out && (!have_in || !(in_[ii_] < out_[oi_]))) {
-        RelId r = out_[oi_++];
-        *cand = {r, graph_.rel(r).tgt};
+        *cand = {out_[oi_++], out_data_->tgt, out_data_};
+        out_data_ = nullptr;
         return true;
       }
+      const RelData* data = in_data_;
       RelId r = in_[ii_++];
-      const RelData& data = graph_.rel(r);
+      in_data_ = nullptr;
       // A self-loop already surfaced via the out side of an undirected
       // pattern; do not produce it twice.
-      if (want_out_ && data.src == data.tgt) continue;
-      *cand = {r, data.src};
+      if (want_out_ && data->src == data->tgt) continue;
+      *cand = {r, data->src, data};
       return true;
     }
   }
 
  private:
   const PropertyGraph& graph_;
+  const ReadPin* pin_;
   const std::vector<RelId>& out_;
   const std::vector<RelId>& in_;
   size_t oi_ = 0;
   size_t ii_ = 0;
+  /// The resolved record of out_[oi_] / in_[ii_] once skipped to; null
+  /// when that side still has to advance.
+  const RelData* out_data_ = nullptr;
+  const RelData* in_data_ = nullptr;
   bool want_out_;
   bool want_in_;
 };
@@ -78,6 +94,9 @@ class RelCandidateCursor {
 /// are pre-folded constants or per-record memos, and every variable
 /// occurrence carries its compile-time VarClass (bind fresh, check against
 /// the local assignment stack, or check against a prefetched record value).
+/// The engine reads the thread's snapshot pin once and resolves every
+/// candidate node and relationship once; the resolved records travel with
+/// the walk and into the assignment.
 class MatchEngine {
  public:
   MatchEngine(const EvalContext& ctx, const Bindings& bindings,
@@ -89,6 +108,7 @@ class MatchEngine {
         options_(options),
         sink_(sink),
         graph_(*ctx.graph),
+        pin_(ctx.graph->ActivePin()),
         morsel_(morsel),
         memo_(compiled.memo_slots),
         input_cache_(compiled.input_slots),
@@ -194,16 +214,30 @@ class MatchEngine {
     return true;
   }
 
-  Result<bool> NodeMatches(const CompiledNode& pattern, NodeId id) {
-    if (!graph_.IsNodeAlive(id)) return false;
+  /// Whether the resolved record `data` satisfies `pattern`: alive, every
+  /// label, every property filter.
+  Result<bool> RecordMatches(const CompiledNode& pattern,
+                             const NodeData& data) {
+    if (!data.alive) return false;
     for (Symbol label : pattern.labels) {
-      if (!graph_.NodeHasLabel(id, label)) return false;
+      if (!std::binary_search(data.labels.begin(), data.labels.end(),
+                              label)) {
+        return false;
+      }
     }
-    return PropsFilterPass(pattern.filters, graph_.node(id).props);
+    return PropsFilterPass(pattern.filters, data.props);
   }
 
-  Result<bool> RelMatches(const CompiledRel& pattern, RelId id) {
-    const RelData& rel = graph_.rel(id);
+  /// The record of candidate `id` when it satisfies `pattern`, else null.
+  Result<const NodeData*> NodeMatches(const CompiledNode& pattern,
+                                      NodeId id) {
+    const NodeData* data = graph_.AliveNodeAt(id, pin_);
+    if (data == nullptr) return nullptr;
+    CYPHER_ASSIGN_OR_RETURN(bool ok, RecordMatches(pattern, *data));
+    return ok ? data : nullptr;
+  }
+
+  Result<bool> RelMatches(const CompiledRel& pattern, const RelData& rel) {
     if (!pattern.types.empty()) {
       bool any = false;
       for (Symbol type : pattern.types) {
@@ -255,8 +289,18 @@ class MatchEngine {
             cpath.start.filters[cpath.anchor.index_filter];
         CYPHER_ASSIGN_OR_RETURN(const Value* want, FilterValue(filter));
         if (want->is_null()) return Status::OK();  // null filter: no match
-        for (NodeId id :
-             graph_.IndexLookup(cpath.anchor.label, cpath.anchor.key, *want)) {
+        const std::vector<NodeId>* ids = nullptr;
+        if (!graph_.IndexPostings(cpath.anchor.label, cpath.anchor.key, *want,
+                                  pin_, &ids)) {
+          // The index postdates this snapshot or was dropped since the plan
+          // compiled: the label scan it replaced yields the same candidates
+          // in the same ascending order.
+          return ScanDomain(cpath.anchor.label, nullptr, fn);
+        }
+        if (ids == nullptr) return Status::OK();
+        // Ascending, a superset of the true matches (stale entries and hash
+        // collisions included); NodeMatches re-checks every filter.
+        for (NodeId id : *ids) {
           if (stopped_) break;
           CYPHER_RETURN_NOT_OK(fn(id));
         }
@@ -341,13 +385,13 @@ class MatchEngine {
     PathValue path;  // reused across candidates to amortize allocation
     return ForEachStartCandidate(cpath, pattern_idx, bound_start,
                                  [&](NodeId id) -> Status {
-      CYPHER_ASSIGN_OR_RETURN(bool ok, NodeMatches(start, id));
-      if (!ok) return Status::OK();
+      CYPHER_ASSIGN_OR_RETURN(const NodeData* data, NodeMatches(start, id));
+      if (data == nullptr) return Status::OK();
       size_t mark = assigned_.size();
-      if (push_start) assigned_.Push(var, Value::Node(id));
+      if (push_start) assigned_.Push(var, Value::Node(id), &data->props);
       path.nodes.assign(1, id);
       path.rels.clear();
-      Status st = MatchStep(cpath, 0, id, &path, pattern_idx);
+      Status st = MatchStep(cpath, 0, id, *data, &path, pattern_idx);
       assigned_.PopTo(mark);
       return st;
     });
@@ -363,22 +407,29 @@ class MatchEngine {
         parents;
   };
 
-  Result<BfsState> RunBfs(NodeId source, const CompiledRel& rel_pattern) {
+  /// Breadth-first search from `source`. With a bound end (`target`), the
+  /// search stops after the level that reaches it: later levels cannot
+  /// change its distance or its shortest predecessors, which that level
+  /// (and the ones before it) already recorded in full.
+  Result<BfsState> RunBfs(NodeId source, const CompiledRel& rel_pattern,
+                          std::optional<NodeId> target) {
     const RelPattern& rel_src = *rel_pattern.source;
     BfsState state;
     state.dist[source.value] = 0;
     std::vector<NodeId> frontier{source};
     int64_t level = 0;
     while (!frontier.empty() &&
-           (rel_src.max_hops < 0 || level < rel_src.max_hops)) {
+           (rel_src.max_hops < 0 || level < rel_src.max_hops) &&
+           !(target.has_value() && state.dist.count(target->value) > 0)) {
       CYPHER_RETURN_NOT_OK(cancel_gate_.Check());
       std::vector<NodeId> next;
       for (NodeId n : frontier) {
-        RelCandidateCursor cursor(graph_, n, rel_pattern.direction);
+        RelCandidateCursor cursor(graph_, pin_, graph_.NodeAt(n, pin_),
+                                  rel_pattern.direction);
         RelCandidate cand;
         while (cursor.Next(&cand)) {
           if (!RelUsable(cand.rel)) continue;  // trail constraint
-          CYPHER_ASSIGN_OR_RETURN(bool ok, RelMatches(rel_pattern, cand.rel));
+          CYPHER_ASSIGN_OR_RETURN(bool ok, RelMatches(rel_pattern, *cand.data));
           if (!ok) continue;
           // A first discovery sets the distance and enqueues the target; an
           // equal-distance rediscovery appends another shortest predecessor
@@ -459,9 +510,11 @@ class MatchEngine {
     return ForEachStartCandidate(cpath, pattern_idx, bound_start,
                                  [&](NodeId s) -> Status {
       if (stopped_) return Status::OK();
-      CYPHER_ASSIGN_OR_RETURN(bool start_ok, NodeMatches(cpath.start, s));
-      if (!start_ok) return Status::OK();
-      CYPHER_ASSIGN_OR_RETURN(BfsState state, RunBfs(s, rel_pattern));
+      CYPHER_ASSIGN_OR_RETURN(const NodeData* start_data,
+                              NodeMatches(cpath.start, s));
+      if (start_data == nullptr) return Status::OK();
+      CYPHER_ASSIGN_OR_RETURN(BfsState state,
+                              RunBfs(s, rel_pattern, bound_end));
       // Deterministic target order: ascending node id.
       std::vector<NodeId> targets;
       if (bound_end.has_value()) {
@@ -475,19 +528,22 @@ class MatchEngine {
         int64_t d = state.dist.at(t.value);
         if (d < rel_src.min_hops) continue;
         if (rel_src.max_hops >= 0 && d > rel_src.max_hops) continue;
-        CYPHER_ASSIGN_OR_RETURN(bool end_ok, NodeMatches(end_pattern, t));
-        if (!end_ok) continue;
+        CYPHER_ASSIGN_OR_RETURN(const NodeData* end_data,
+                                NodeMatches(end_pattern, t));
+        if (end_data == nullptr) continue;
         Status st = ReconstructPaths(
             state, s, t, all_shortest, [&](const PathValue& path) -> Status {
               size_t mark = assigned_.size();
               if (push_start) {
-                assigned_.Push(start_src.variable, Value::Node(s));
+                assigned_.Push(start_src.variable, Value::Node(s),
+                               &start_data->props);
               }
               // The end binds only on its first occurrence; when it repeats
               // the start variable (`(a)-[*]->(a)`) the start's push above
               // already bound it.
               if (end_pattern.var_class == VarClass::kBind) {
-                assigned_.Push(end_src.variable, Value::Node(t));
+                assigned_.Push(end_src.variable, Value::Node(t),
+                               &end_data->props);
               }
               if (!rel_src.variable.empty()) {
                 if (rel_pattern.var_class != VarClass::kBind) {
@@ -515,8 +571,11 @@ class MatchEngine {
     });
   }
 
+  /// Extends the path at `cur` (whose resolved record is `cur_data`) by
+  /// step `step_idx`, or finishes the path when every step matched.
   Status MatchStep(const CompiledPath& cpath, size_t step_idx, NodeId cur,
-                   PathValue* path, size_t pattern_idx) {
+                   const NodeData& cur_data, PathValue* path,
+                   size_t pattern_idx) {
     if (stopped_) return Status::OK();
     const PathPattern& pattern = *cpath.source;
     if (step_idx == cpath.steps.size()) {
@@ -546,7 +605,8 @@ class MatchEngine {
     const auto& [rel_pattern, node_pattern] = cpath.steps[step_idx];
     const RelPattern& rel_src = *rel_pattern.source;
     if (rel_src.var_length) {
-      return MatchVarLength(cpath, step_idx, cur, path, pattern_idx);
+      return MatchVarLength(cpath, step_idx, cur, cur_data, path,
+                            pattern_idx);
     }
     // Bound relationship variable: a single candidate.
     if (const Value* bound = BoundValue(rel_pattern)) {
@@ -558,35 +618,38 @@ class MatchEngine {
                                       ", expected a relationship");
       }
       RelId id = bound->AsRel();
-      if (!graph_.IsRelAlive(id) || !RelUsable(id)) return Status::OK();
-      const RelData& rel = graph_.rel(id);
+      const RelData* rel = graph_.AliveRelAt(id, pin_);
+      if (rel == nullptr || !RelUsable(id)) return Status::OK();
       NodeId next;
       bool connects = false;
       if (rel_pattern.direction != RelDirection::kRightToLeft &&
-          rel.src == cur) {
-        next = rel.tgt;
+          rel->src == cur) {
+        next = rel->tgt;
         connects = true;
       } else if (rel_pattern.direction != RelDirection::kLeftToRight &&
-                 rel.tgt == cur) {
-        next = rel.src;
+                 rel->tgt == cur) {
+        next = rel->src;
         connects = true;
       }
       if (!connects) return Status::OK();
-      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, id));
+      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, *rel));
       if (!rel_ok) return Status::OK();
       return EnterNode(cpath, step_idx, id, next, path, pattern_idx);
     }
     bool push_rel = !rel_src.variable.empty();
-    RelCandidateCursor cursor(graph_, cur, rel_pattern.direction);
+    RelCandidateCursor cursor(graph_, pin_, cur_data, rel_pattern.direction);
     RelCandidate cand;
     while (cursor.Next(&cand)) {
       if (stopped_) break;
       CYPHER_RETURN_NOT_OK(cancel_gate_.Check());
       if (!RelUsable(cand.rel)) continue;
-      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, cand.rel));
+      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, *cand.data));
       if (!rel_ok) continue;
       size_t mark = assigned_.size();
-      if (push_rel) assigned_.Push(rel_src.variable, Value::Rel(cand.rel));
+      if (push_rel) {
+        assigned_.Push(rel_src.variable, Value::Rel(cand.rel),
+                       &cand.data->props);
+      }
       CYPHER_RETURN_NOT_OK(
           EnterNode(cpath, step_idx, cand.rel, cand.to, path, pattern_idx));
       assigned_.PopTo(mark);
@@ -610,16 +673,18 @@ class MatchEngine {
       }
       if (bound->AsNode() != next) return Status::OK();
     }
-    CYPHER_ASSIGN_OR_RETURN(bool node_ok, NodeMatches(node_pattern, next));
-    if (!node_ok) return Status::OK();
+    CYPHER_ASSIGN_OR_RETURN(const NodeData* data,
+                            NodeMatches(node_pattern, next));
+    if (data == nullptr) return Status::OK();
     size_t mark = assigned_.size();
     if (!var.empty() && bound == nullptr) {
-      assigned_.Push(var, Value::Node(next));
+      assigned_.Push(var, Value::Node(next), &data->props);
     }
     used_rels_.push_back(via);
     path->rels.push_back(via);
     path->nodes.push_back(next);
-    Status st = MatchStep(cpath, step_idx + 1, next, path, pattern_idx);
+    Status st =
+        MatchStep(cpath, step_idx + 1, next, *data, path, pattern_idx);
     path->nodes.pop_back();
     path->rels.pop_back();
     used_rels_.pop_back();
@@ -628,7 +693,8 @@ class MatchEngine {
   }
 
   Status MatchVarLength(const CompiledPath& cpath, size_t step_idx,
-                        NodeId cur, PathValue* path, size_t pattern_idx) {
+                        NodeId cur, const NodeData& cur_data, PathValue* path,
+                        size_t pattern_idx) {
     const CompiledRel& rel_pattern = cpath.steps[step_idx].first;
     const RelPattern& rel_src = *rel_pattern.source;
     if (!rel_src.variable.empty() &&
@@ -637,13 +703,15 @@ class MatchEngine {
                                    rel_src.variable + "' is already bound");
     }
     std::vector<RelId> hops;
-    return VarLengthFrom(cpath, step_idx, cur, 0, &hops, path, pattern_idx);
+    return VarLengthFrom(cpath, step_idx, cur, cur_data, 0, &hops, path,
+                         pattern_idx);
   }
 
   /// The terminate half of one var-length state: if the walk may end at
   /// `cur`, binds the hop list / end node and continues with the rest of
   /// the pattern.
   Status TryTerminate(const CompiledPath& cpath, size_t step_idx, NodeId cur,
+                      const NodeData& cur_data,
                       const std::vector<RelId>& hops, PathValue* path,
                       size_t pattern_idx) {
     const auto& [rel_pattern, node_pattern] = cpath.steps[step_idx];
@@ -653,7 +721,8 @@ class MatchEngine {
     if (bound != nullptr && (!bound->is_node() || bound->AsNode() != cur)) {
       return Status::OK();  // cannot terminate here; keep walking
     }
-    CYPHER_ASSIGN_OR_RETURN(bool node_ok, NodeMatches(node_pattern, cur));
+    CYPHER_ASSIGN_OR_RETURN(bool node_ok,
+                            RecordMatches(node_pattern, cur_data));
     if (!node_ok) return Status::OK();
     size_t mark = assigned_.size();
     if (!rel_src.variable.empty()) {
@@ -663,29 +732,30 @@ class MatchEngine {
       assigned_.Push(rel_src.variable, Value::List(std::move(rel_values)));
     }
     if (!node_var.empty() && BoundValue(node_pattern) == nullptr) {
-      assigned_.Push(node_var, Value::Node(cur));
+      assigned_.Push(node_var, Value::Node(cur), &cur_data.props);
     }
     CYPHER_RETURN_NOT_OK(
-        MatchStep(cpath, step_idx + 1, cur, path, pattern_idx));
+        MatchStep(cpath, step_idx + 1, cur, cur_data, path, pattern_idx));
     assigned_.PopTo(mark);
     return Status::OK();
   }
 
   Status VarLengthFrom(const CompiledPath& cpath, size_t step_idx,
-                       NodeId cur, int64_t count, std::vector<RelId>* hops,
-                       PathValue* path, size_t pattern_idx) {
+                       NodeId cur, const NodeData& cur_data, int64_t count,
+                       std::vector<RelId>* hops, PathValue* path,
+                       size_t pattern_idx) {
     if (stopped_) return Status::OK();
     CYPHER_RETURN_NOT_OK(cancel_gate_.Check());
     const CompiledRel& rel_pattern = cpath.steps[step_idx].first;
     const RelPattern& rel_src = *rel_pattern.source;
     if (count >= rel_src.min_hops) {
-      CYPHER_RETURN_NOT_OK(
-          TryTerminate(cpath, step_idx, cur, *hops, path, pattern_idx));
+      CYPHER_RETURN_NOT_OK(TryTerminate(cpath, step_idx, cur, cur_data, *hops,
+                                        path, pattern_idx));
     }
     if (rel_src.max_hops >= 0 && count >= rel_src.max_hops) {
       return Status::OK();
     }
-    RelCandidateCursor cursor(graph_, cur, rel_pattern.direction);
+    RelCandidateCursor cursor(graph_, pin_, cur_data, rel_pattern.direction);
     RelCandidate cand;
     while (cursor.Next(&cand)) {
       if (stopped_) break;
@@ -696,14 +766,15 @@ class MatchEngine {
         continue;
       }
       if (!RelUsable(cand.rel)) continue;
-      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, cand.rel));
+      CYPHER_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(rel_pattern, *cand.data));
       if (!rel_ok) continue;
       used_rels_.push_back(cand.rel);
       hops->push_back(cand.rel);
       path->rels.push_back(cand.rel);
       path->nodes.push_back(cand.to);
-      CYPHER_RETURN_NOT_OK(VarLengthFrom(cpath, step_idx, cand.to, count + 1,
-                                         hops, path, pattern_idx));
+      CYPHER_RETURN_NOT_OK(VarLengthFrom(cpath, step_idx, cand.to,
+                                         graph_.NodeAt(cand.to, pin_),
+                                         count + 1, hops, path, pattern_idx));
       path->nodes.pop_back();
       path->rels.pop_back();
       hops->pop_back();
@@ -718,6 +789,8 @@ class MatchEngine {
   const MatchOptions& options_;
   const MatchSink& sink_;
   const PropertyGraph& graph_;
+  /// The thread's snapshot pin, read once (null = latest state).
+  const ReadPin* pin_;
   /// Anchor-domain restriction for the first path (parallel execution);
   /// null = unrestricted.
   const AnchorMorsel* morsel_ = nullptr;

@@ -18,12 +18,18 @@ namespace cypher {
 
 struct MatchOptions {
   MatchMode mode = MatchMode::kRelUnique;
-  /// The pinned committed epoch this match reads (0 = latest state / no
-  /// MVCC session). Set from EvalOptions::read_pin by ExecContext::Match;
-  /// fanned-out helpers inherit the actual pin through the thread pool, so
-  /// this field's job is plan identity: cached match plans compiled under a
-  /// pin are stamped with it and never shared across epochs.
-  uint64_t snapshot_epoch = 0;
+};
+
+/// One variable binding of a match. `name` points into the pattern's AST,
+/// which outlives every match of it. `props` is the bound node's or
+/// relationship's property map as the match resolved it (null for paths
+/// and relationship lists), so consumers read `v.key` without resolving
+/// the entity again; it stays valid while the snapshot it was read from
+/// does (the reader's pin, or the writer's statement until it mutates).
+struct MatchBinding {
+  const std::string* name;
+  Value value;
+  const PropertyMap* props;
 };
 
 /// Variable assignment produced by one successful match: the bindings added
@@ -31,26 +37,31 @@ struct MatchOptions {
 /// order, first occurrence).
 class MatchAssignment {
  public:
-  void Push(const std::string& name, Value value) {
-    entries_.emplace_back(name, std::move(value));
+  void Push(const std::string& name, Value value,
+            const PropertyMap* props = nullptr) {
+    entries_.push_back({&name, std::move(value), props});
   }
+  void Push(std::string&& name, Value value,
+            const PropertyMap* props = nullptr) = delete;  // would dangle
   void PopTo(size_t size) { entries_.resize(size); }
   size_t size() const { return entries_.size(); }
 
   /// Looks up a variable in this assignment only; nullptr when absent.
-  const Value* Find(std::string_view name) const {
+  const MatchBinding* FindBinding(std::string_view name) const {
     for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      if (it->first == name) return &it->second;
+      if (*it->name == name) return &*it;
     }
     return nullptr;
   }
-
-  const std::vector<std::pair<std::string, Value>>& entries() const {
-    return entries_;
+  const Value* Find(std::string_view name) const {
+    const MatchBinding* binding = FindBinding(name);
+    return binding == nullptr ? nullptr : &binding->value;
   }
 
+  const std::vector<MatchBinding>& entries() const { return entries_; }
+
  private:
-  std::vector<std::pair<std::string, Value>> entries_;
+  std::vector<MatchBinding> entries_;
 };
 
 /// Receives each complete match. Return false to stop enumeration early

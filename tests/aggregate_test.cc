@@ -132,8 +132,7 @@ GroupSet FoldTile(const std::vector<Row>& rows, size_t begin, size_t end) {
     Partial* partials =
         groups.partials_of(groups.Group(GroupIndex::Hash(1, key), key));
     for (size_t i = 0; i < kSpecs.size(); ++i) {
-      UpdatePartial(kSpecs[i], &partials[i],
-                    [&]() -> Result<Value> { return rows[r].arg; });
+      UpdatePartial(kSpecs[i], &partials[i], [&] { return &rows[r].arg; });
     }
   }
   return groups;

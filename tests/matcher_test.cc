@@ -218,6 +218,49 @@ TEST_F(MatcherTest, SelfLoopUndirectedMatchesOnce) {
   EXPECT_EQ(CountMatches("MATCH (a:Loop)-[:KNOWS]->(b:Loop)"), 1u);
 }
 
+// A bound end stops the BFS at the level that reaches it. That level must
+// still record every equal-length route: allShortestPaths returns both
+// direct relationships, shortestPath the lower-id one, and the longer
+// detour and the chain past the target change nothing.
+TEST_F(MatcherTest, ShortestPathToBoundEndStopsAtItsLevel) {
+  Symbol hop = g_.InternType("HOP");
+  NodeId s = MakeNode("Hop", "s");
+  NodeId t = MakeNode("Hop", "t");
+  NodeId m1 = MakeNode("Hop", "m1");
+  NodeId m2 = MakeNode("Hop", "m2");
+  RelId direct1 = *g_.CreateRel(s, t, hop, {});
+  ASSERT_TRUE(g_.CreateRel(s, m1, hop, {}).ok());
+  ASSERT_TRUE(g_.CreateRel(m1, m2, hop, {}).ok());
+  ASSERT_TRUE(g_.CreateRel(m2, t, hop, {}).ok());
+  RelId direct2 = *g_.CreateRel(s, t, hop, {});
+  NodeId prev = t;
+  for (int i = 0; i < 4; ++i) {
+    NodeId next = MakeNode("Hop", "x" + std::to_string(i));
+    ASSERT_TRUE(g_.CreateRel(prev, next, hop, {}).ok());
+    prev = next;
+  }
+
+  auto paths = [&](const std::string& function) {
+    Query keep;
+    auto patterns = PatternsOf(
+        "MATCH (a:Hop {name: 's'}), (b:Hop {name: 't'}), p = " + function +
+            "((a)-[:HOP*..5]->(b))",
+        &keep);
+    EvalContext ctx{&g_, nullptr};
+    std::vector<std::vector<RelId>> out;
+    Status st = MatchPatterns(ctx, Bindings(), patterns, MatchOptions{},
+                              [&](const MatchAssignment& a) -> Result<bool> {
+                                out.push_back(a.Find("p")->AsPath().rels);
+                                return true;
+                              });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return out;
+  };
+  using Paths = std::vector<std::vector<RelId>>;
+  EXPECT_EQ(paths("shortestPath"), (Paths{{direct1}}));
+  EXPECT_EQ(paths("allShortestPaths"), (Paths{{direct1}, {direct2}}));
+}
+
 TEST_F(MatcherTest, DeterministicEnumerationOrder) {
   Query keep;
   auto patterns = PatternsOf("MATCH (u:User)-[:ORDERED]->(p)", &keep);

@@ -1,11 +1,14 @@
 // Snapshot-isolated read sessions (DESIGN.md §4g): pinned-epoch visibility,
 // refresh, read-only enforcement, version reclamation, per-session cache
-// counters, WAL auto-checkpointing, and — the heavyweight case — a
-// concurrent read/write differential oracle. N reader threads open sessions
-// mid-workload while a writer commits continuously; every sampled result
-// must byte-match a sequential replay of the statement prefix (and of the
-// WAL byte prefix) at the session's pinned epoch. The suite runs under TSan
-// in CI, so the oracle doubles as the data-race detector for the lock-free
+// counters, WAL auto-checkpointing, pinned property-index seeks, and — the
+// heavyweight cases — concurrent read/write differential oracles. In the
+// first, N reader threads open sessions mid-workload while a writer commits
+// continuously; every sampled result must byte-match a sequential replay of
+// the statement prefix (and of the WAL byte prefix) at the session's pinned
+// epoch. In the second, pinned index seeks, pinned label scans and the
+// writer's own results must agree at every epoch while the writer churns
+// indexed values and creates and drops the index. The suite runs under TSan
+// in CI, so the oracles double as the data-race detector for the lock-free
 // read path.
 
 #include <gtest/gtest.h>
@@ -13,7 +16,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -127,6 +132,191 @@ TEST(MvccTest, PinnedReadsSkipPropertyIndexes) {
   EXPECT_EQ(Scalar(RunOk(&db, "MATCH (u:U {id: 700}) RETURN count(u)"))
                 .AsInt(),
             1);
+}
+
+/// Every cell of a result (EXPLAIN included), one row per line.
+std::string Cells(const Result<QueryResult>& result) {
+  if (!result.ok()) return "ERROR: " + result.status().ToString();
+  std::string out;
+  for (const std::vector<Value>& row : result->rows) {
+    for (const Value& cell : row) out += cell.ToString() + '\t';
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(MvccTest, SessionExplainShowsIndexSeek) {
+  GraphDatabase db;
+  RunOk(&db, "CREATE INDEX ON :User(id)");
+  RunOk(&db, "UNWIND range(1, 50) AS i CREATE (:User {id: i})");
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  auto session = db.BeginReadSession();
+  ASSERT_TRUE(session.ok());
+  std::string plan =
+      Cells(session->Execute("EXPLAIN MATCH (u:User {id: 7}) RETURN u"));
+  EXPECT_NE(plan.find("index: :User(id)"), std::string::npos) << plan;
+}
+
+// Commit-time compaction prunes the entries of re-valued nodes from the
+// newest postings only: a session pinned before the rewrite still seeks
+// every node by its old value.
+TEST(MvccTest, PinnedSeeksKeepEntriesThatCompactionPrunes) {
+  GraphDatabase db;
+  RunOk(&db, "CREATE INDEX ON :U(id)");
+  RunOk(&db, "UNWIND range(1, 20) AS i CREATE (:U {id: i})");
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  auto session = db.BeginReadSession();
+  ASSERT_TRUE(session.ok());
+  RunOk(&db, "MATCH (u:U) SET u.id = u.id + 100");
+  const PropertyGraph& g = db.graph();
+  EXPECT_EQ(g.IndexEntryCount(g.FindLabel("U"), g.FindKey("id")), 20u)
+      << "the commit should have compacted the 20 stale entries";
+  for (int id : {1, 7, 20}) {
+    auto r = session->Execute("MATCH (u:U {id: $id}) RETURN count(u)",
+                              {{"id", Value::Int(id)}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Scalar(*r).AsInt(), 1) << "id " << id;
+  }
+  EXPECT_EQ(Scalar(RunOk(&db, "MATCH (u:U {id: 7}) RETURN count(u)")).AsInt(),
+            0);
+}
+
+// Pinned index seeks against a writer that churns indexed values, deletes,
+// relabels and re-creates nodes, rolls statements back, and creates and
+// drops the index. At every pinned epoch, a seek (`{id: $x}`, which anchors
+// on the index whenever one exists), a label scan (the same predicate in
+// WHERE, which never anchors on an index) and the writer's own result at
+// that epoch agree row for row. Both forms share their cached plans with
+// the writer, so sessions also run index plans compiled after their pin.
+TEST(MvccTest, PinnedIndexSeeksMatchScansAndWriter) {
+  constexpr int kValues = 8;
+  constexpr int kStatements = 150;
+  constexpr int kReaders = 2;
+  const std::string seek = "MATCH (u:U {id: $x}) RETURN u.k AS k";
+  const std::string scan = "MATCH (u:U) WHERE u.id = $x RETURN u.k AS k";
+
+  GraphDatabase db;
+  RunOk(&db, "CREATE INDEX ON :U(id)");
+  RunOk(&db, "UNWIND range(0, 39) AS k CREATE (:U {id: k % 8, k: k})");
+  ASSERT_TRUE(db.EnableMvcc().ok());
+
+  // The rows of `query` for every probed value, as one text.
+  auto answer = [&](const auto& execute, const std::string& query) {
+    std::string out;
+    for (int x = 0; x < kValues; ++x) {
+      out += std::to_string(x) + ": " +
+             Cells(execute(query, ValueMap{{"x", Value::Int(x)}}));
+    }
+    return out;
+  };
+  auto on_writer = [&db](const std::string& query, const ValueMap& params) {
+    return db.Execute(query, params);
+  };
+  // epoch -> the writer's answer. The writer's own probes publish epochs
+  // too (every committed statement does), all with the state they read.
+  std::map<uint64_t, std::string> oracle;
+  auto record = [&] {
+    uint64_t first = db.graph().published_epoch();
+    std::string seeks = answer(on_writer, seek);
+    EXPECT_EQ(seeks, answer(on_writer, scan));
+    for (uint64_t e = first; e <= db.graph().published_epoch(); ++e) {
+      oracle[e] = seeks;
+    }
+  };
+  record();
+
+  struct Sample {
+    uint64_t epoch;
+    std::string seeks;
+    std::string scans;
+  };
+  std::vector<std::vector<Sample>> samples(kReaders);
+  std::atomic<bool> writer_done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      auto session = db.BeginReadSession();
+      if (!session.ok()) return;
+      auto on_session = [&session](const std::string& query,
+                                   const ValueMap& params) {
+        return session->Execute(query, params);
+      };
+      do {
+        // Holding a pin across several samples lets the writer move further
+        // ahead of it (and compact postings it still needs).
+        if (samples[r].size() % 3 == 2) session->Refresh();
+        samples[r].push_back({session->epoch(), answer(on_session, seek),
+                              answer(on_session, scan)});
+      } while (!writer_done.load(std::memory_order_relaxed));
+    });
+  }
+
+  std::mt19937 rng(29);
+  int next_k = 40;
+  bool indexed = true;
+  for (int i = 0; i < kStatements; ++i) {
+    ValueMap params{
+        {"k", Value::Int(static_cast<int64_t>(rng() % next_k))},
+        {"v", Value::Int(static_cast<int64_t>(rng() % kValues))}};
+    std::string statement;
+    bool fails = false;
+    switch (rng() % 10) {
+      case 0:
+      case 1:
+      case 2:
+        statement = "MATCH (u {k: $k}) SET u.id = $v";
+        break;
+      case 3:
+        statement = "MATCH (u {k: $k}) DETACH DELETE u";
+        break;
+      case 4:
+        params["k"] = Value::Int(next_k++);
+        statement = "CREATE (:U {id: $v, k: $k})";
+        break;
+      case 5:
+        statement = "MATCH (u {k: $k}) REMOVE u:U";
+        break;
+      case 6:
+        statement = "MATCH (u {k: $k}) SET u:U";
+        break;
+      case 7:
+        // Writes postings, then fails: the rollback must leave every
+        // snapshot's seeks exact.
+        statement = "MATCH (u:U {id: $v}) SET u.id = $v + 1 WITH u "
+                    "RETURN u.k / 0 AS boom";
+        fails = true;
+        break;
+      case 8:
+        statement = "MATCH (u {k: $k}) SET u.id = null";
+        break;
+      default:
+        statement = indexed ? "DROP INDEX ON :U(id)" : "CREATE INDEX ON :U(id)";
+        indexed = !indexed;
+        break;
+    }
+    Result<QueryResult> result = db.Execute(statement, params);
+    // The failing form succeeds only when it matched nothing.
+    if (!fails) {
+      ASSERT_TRUE(result.ok())
+          << statement << " -> " << result.status().ToString();
+    }
+    record();
+  }
+  writer_done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  size_t checked = 0;
+  for (const std::vector<Sample>& mine : samples) {
+    ASSERT_FALSE(mine.empty());
+    for (const Sample& sample : mine) {
+      auto it = oracle.find(sample.epoch);
+      ASSERT_NE(it, oracle.end()) << "epoch " << sample.epoch;
+      EXPECT_EQ(sample.seeks, sample.scans) << "epoch " << sample.epoch;
+      EXPECT_EQ(sample.seeks, it->second) << "epoch " << sample.epoch;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(MvccTest, SupersededVersionsReclaimOnceUnpinned) {

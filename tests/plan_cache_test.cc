@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "test_util.h"
 #include "vm/plan_cache.h"
@@ -228,6 +231,112 @@ TEST(PlanCacheTest, MatchSlotRegimesMatchInterpreterOnReadSession) {
   EXPECT_EQ(Scalar(*session->Execute("MATCH (u:U {id: 0}) RETURN u.v AS v"))
                 .AsInt(),
             100);
+}
+
+// A read session's cache key does not name its pinned epoch: sessions at
+// successive epochs hit the entry the first run made, and the stamped match
+// slot (which only sees planner inputs, none of which the writer's SET of
+// an unindexed key moves) serves every epoch. Rows byte-match the uncached
+// interpreter at each epoch.
+TEST(PlanCacheTest, SessionsAtSuccessiveEpochsShareOneEntry) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  RunOk(&db, "CREATE INDEX ON :U(id)");
+  RunOk(&db, "UNWIND range(0, 9) AS i CREATE (:U {id: i, v: i * 10})");
+  const std::string probe = "MATCH (u:U {id: 3}) RETURN u.v AS v";
+  auto session = db.BeginReadSession();
+  ASSERT_TRUE(session.ok());
+  size_t entries = 0;
+  for (int i = 0; i < 6; ++i) {
+    SCOPED_TRACE("round " + std::to_string(i));
+    RunOk(&db, "MATCH (u:U {id: 3}) SET u.v = $v", {{"v", Value::Int(i)}});
+    session->Refresh();
+    db.options().use_plan_cache = false;
+    Result<QueryResult> interpreted = session->Execute(probe);
+    db.options().use_plan_cache = true;
+    ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+    EXPECT_EQ(Scalar(*interpreted).AsInt(), i);
+    SessionCacheCounters before = session->cache_counters();
+    EXPECT_EQ(ResultText(session->Execute(probe)), ResultText(interpreted));
+    if (i == 0) {
+      entries = db.plan_cache().Stats().entries;
+      continue;
+    }
+    EXPECT_EQ(session->cache_counters().hits, before.hits + 1);
+    EXPECT_EQ(session->cache_counters().misses, before.misses);
+    EXPECT_EQ(db.plan_cache().Stats().entries, entries);
+  }
+}
+
+// The writer compiles the shared slot with the index anchor after the
+// session pinned; the session reuses that plan, and its seek finds the
+// index younger than the pin and scans the label instead.
+TEST(PlanCacheTest, SessionPinnedBeforeIndexRunsWritersIndexPlan) {
+  GraphDatabase db;
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  RunOk(&db, "UNWIND range(0, 9) AS i CREATE (:U {id: i, v: i * 10})");
+  auto session = db.BeginReadSession();
+  ASSERT_TRUE(session.ok());
+  RunOk(&db, "CREATE INDEX ON :U(id)");
+  RunOk(&db, "MATCH (u:U) SET u.id = u.id + 1");
+  const std::string probe = "MATCH (u:U {id: 3}) RETURN u.v AS v";
+  EXPECT_EQ(Scalar(RunOk(&db, probe)).AsInt(), 20);
+  QueryResult plan = RunOk(&db, "EXPLAIN " + probe);
+  EXPECT_NE(ResultText(plan).find("index: :U(id)"), std::string::npos)
+      << ResultText(plan);
+
+  SessionCacheCounters before = session->cache_counters();
+  Result<QueryResult> cached = session->Execute(probe);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(session->cache_counters().hits, before.hits + 1);
+  EXPECT_EQ(Scalar(*cached).AsInt(), 30);
+  db.options().use_plan_cache = false;
+  EXPECT_EQ(ResultText(session->Execute(probe)), ResultText(cached));
+}
+
+// A writer and two read sessions, each on its own thread, run one text
+// against one shared entry and match-plan slot. Every run returns the same
+// row, and no run misses or adds an entry. Under ThreadSanitizer this is
+// the race check for the shared slot and the pinned index seeks.
+TEST(PlanCacheTest, WriterAndSessionsShareOneEntryConcurrently) {
+  constexpr int kRounds = 150;
+  GraphDatabase db;
+  ASSERT_TRUE(db.EnableMvcc().ok());
+  RunOk(&db, "CREATE INDEX ON :U(id)");
+  RunOk(&db, "UNWIND range(0, 99) AS i CREATE (:U {id: i, v: i * 10})");
+  const std::string probe =
+      "MATCH (a:U {id: 3}), (b:U {id: 40}) RETURN a.v + b.v AS v";
+  EXPECT_EQ(Scalar(RunOk(&db, probe)).AsInt(), 430);
+  const PlanCacheStats warm = db.plan_cache().Stats();
+
+  std::atomic<int> wrong{0};
+  auto check = [&wrong](const Result<QueryResult>& result) {
+    if (!result.ok() || result->rows.size() != 1 ||
+        !result->rows[0][0].is_int() || result->rows[0][0].AsInt() != 430) {
+      ++wrong;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      auto session = db.BeginReadSession();
+      if (!session.ok()) {
+        ++wrong;
+        return;
+      }
+      for (int i = 0; i < kRounds; ++i) {
+        session->Refresh();
+        check(session->Execute(probe));
+      }
+    });
+  }
+  for (int i = 0; i < kRounds; ++i) check(db.Execute(probe));
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  PlanCacheStats after = db.plan_cache().Stats();
+  EXPECT_EQ(after.entries, warm.entries);
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_EQ(after.hits, warm.hits + 3 * kRounds);
 }
 
 TEST(PlanCacheTest, AutoParametrizationCannotCollideWithUserParams) {
