@@ -13,6 +13,10 @@
 // leader's own commit rate (replay skips parse/plan/match), and steady
 // state / memory-WAL isolates the shipping tax, which should be small.
 //
+// The tail shape times one pump that ships one new record after 1, 8 or
+// 64 MB of prior log: a pump should cost the bytes it ships, so the rows
+// stay flat in log length.
+//
 // The socket variants run the same two shapes through a real
 // SocketReplicationServer + SocketTransport over loopback TCP and a
 // Unix-domain socket: the delta against the in-process rows is the wire tax
@@ -22,10 +26,12 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
 #include "bench_util.h"
+#include "replication/log_shipper.h"
 #include "replication/replica.h"
 #include "replication/socket_transport.h"
 #include "replication/transport.h"
@@ -132,6 +138,53 @@ void BM_ReplicaSteadyStateLag(benchmark::State& state) {
   (void)leader.DetachFollower(*id);
 }
 BENCHMARK(BM_ReplicaSteadyStateLag)->Unit(benchmark::kMicrosecond);
+
+// One pump shipping one ~2 KB record (the size of an ingest statement
+// record) to a caught-up follower, after state.range(0) MB of prior log in
+// a real file. Appending and syncing the record and draining the shipped
+// frame are untimed.
+void BM_ShipTail(benchmark::State& state) {
+  const uint64_t prior = static_cast<uint64_t>(state.range(0)) << 20;
+  const std::string path =
+      "/tmp/cypher_bench_ship_tail_" + std::to_string(::getpid()) + ".log";
+  std::remove(path.c_str());
+  auto file = storage::OpenPosixLogFile(path);
+  if (!file.ok() ||
+      !(*file)->Append(storage::kWalMagic, storage::kWalMagicSize).ok()) {
+    state.SkipWithError("cannot create the log file");
+    return;
+  }
+  storage::WalWriter wal(std::move(*file));
+  const std::string filler(64 << 10, 'f');
+  while (wal.appended_lsn() < prior) {
+    (void)wal.Append(storage::WalRecordType::kStatement, filler);
+  }
+  (void)wal.Sync(wal.appended_lsn());
+  replication::LogShipper shipper(&wal, replication::ShipperOptions{});
+  auto transport = std::make_shared<replication::InProcessTransport>();
+  shipper.AttachAt(transport, wal.durable_lsn());
+  const std::string record(2048, 'r');
+  replication::SegmentFrame frame;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto lsn = wal.Append(storage::WalRecordType::kStatement, record);
+    if (!lsn.ok() || !wal.Sync(*lsn).ok()) {
+      state.SkipWithError("log append failed");
+      break;
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(shipper.Pump());
+    state.PauseTiming();
+    while (transport->Receive(&frame)) {
+    }
+    state.ResumeTiming();
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ShipTail)
+    ->Arg(1)->Arg(8)->Arg(64)
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Socket variants -------------------------------------------------------
 

@@ -142,7 +142,11 @@ class GraphDatabase {
   EvalOptions& options() { return options_; }
   const EvalOptions& options() const { return options_; }
 
-  /// Parses and executes one statement with the session options.
+  /// Parses and executes one statement with the session options. A result
+  /// holds entity handles, expanded against the graph when rendered: a
+  /// relationship the statement deleted renders with its type only until
+  /// the next statement starts, which may reclaim its storage (it then
+  /// renders as `[]`, and type()/startNode()/endNode() on it return null).
   Result<QueryResult> Execute(std::string_view query) {
     return Execute(query, ValueMap());
   }

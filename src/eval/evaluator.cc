@@ -188,7 +188,10 @@ Result<Value> EvalScalarFunction(const EvalContext& ctx,
     CYPHER_RETURN_NOT_OK(arity(1));
     if (args[0].is_null()) return Value::Null();
     if (!args[0].is_rel()) return TypeError("type() expects a relationship");
-    return Value::String(g.TypeName(g.rel(args[0].AsRel()).type));
+    Symbol type = g.rel(args[0].AsRel()).type;
+    // A reclaimed deleted relationship has lost its type.
+    if (type == kNoSymbol) return Value::Null();
+    return Value::String(g.TypeName(type));
   }
   if (name == "properties") {
     CYPHER_RETURN_NOT_OK(arity(1));
@@ -289,6 +292,8 @@ Result<Value> EvalScalarFunction(const EvalContext& ctx,
     if (args[0].is_null()) return Value::Null();
     if (!args[0].is_rel()) return TypeError(name + "() expects a relationship");
     const RelData& rel = g.rel(args[0].AsRel());
+    // A reclaimed deleted relationship has lost its endpoints.
+    if (rel.type == kNoSymbol) return Value::Null();
     return Value::Node(name == "startnode" ? rel.src : rel.tgt);
   }
   if (name == "exists") {

@@ -360,7 +360,7 @@ Result<QueryResult> ExecuteQuery(PropertyGraph* graph, const Query& query,
   // Legacy mode defers the dangling-relationship check to statement end
   // (Neo4j's commit-time validation; Section 4.2).
   if (options.semantics == SemanticsMode::kLegacy &&
-      graph->HasDanglingRels()) {
+      graph->HasDanglingRels(mark)) {
     return fail(Status::ExecutionError(
         "cannot commit: deleting nodes left relationships without "
         "endpoints (delete the relationships too, or use DETACH DELETE)"));

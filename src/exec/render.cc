@@ -12,6 +12,7 @@ std::string RenderValue(const PropertyGraph& graph, const Value& value) {
       RelId id = value.AsRel();
       if (!graph.IsValidRel(id)) return "[?invalid?]";
       const RelData& rel = graph.rel(id);
+      if (rel.type == kNoSymbol) return "[]";  // reclaimed: type is gone
       std::string out = "[:";
       out += graph.TypeName(rel.type);
       if (!rel.props.empty()) {
@@ -27,8 +28,10 @@ std::string RenderValue(const PropertyGraph& graph, const Value& value) {
       for (size_t i = 0; i < path.nodes.size(); ++i) {
         if (i > 0) {
           const RelData& rel = graph.rel(path.rels[i - 1]);
-          bool forward = rel.src == path.nodes[i - 1];
-          out += forward ? "-" : "<-";
+          // A reclaimed relationship lost its endpoints: no arrow.
+          bool reclaimed = rel.type == kNoSymbol;
+          bool forward = !reclaimed && rel.src == path.nodes[i - 1];
+          out += forward || reclaimed ? "-" : "<-";
           out += RenderValue(graph, Value::Rel(path.rels[i - 1]));
           out += forward ? "->" : "-";
         }

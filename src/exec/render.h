@@ -11,8 +11,12 @@ namespace cypher {
 
 /// Renders a value with entities expanded against the graph:
 /// nodes as `(:User {id: 89, name: 'Bob'})`, relationships as
-/// `[:ORDERED {...}]`, paths as node-arrow chains. Deleted (zombie)
-/// entities render as `()` / `[]` — the "empty node" of Section 4.2.
+/// `[:ORDERED {...}]`, paths as node-arrow chains. Deleted (zombie) nodes
+/// render as `()` — the "empty node" of Section 4.2. A deleted relationship
+/// keeps its type, and renders as `[:TYPE]`, until the writer opens its
+/// next statement; from then on its storage may be reclaimed
+/// (PropertyGraph::ReclaimDeadChunks) and it renders as `[]`, and as an
+/// arrowless `-[]-` inside a path.
 std::string RenderValue(const PropertyGraph& graph, const Value& value);
 
 /// Renders the result as an aligned text table followed by the stats line.

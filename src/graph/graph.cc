@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "value/compare.h"
@@ -48,6 +49,35 @@ bool SortedInsertUnique(std::vector<NodeId>* ids, NodeId id) {
   if (it != ids->end() && *it == id) return false;
   ids->insert(it, id);
   return true;
+}
+
+/// True when a slot's base record is what the shared dead chunk holds. A
+/// dead relationship's type and endpoints are not compared: only the
+/// statement that deleted it reads them (to render it), and reclamation
+/// waits for that statement to end.
+bool IsDeadRecord(const NodeData& data) {
+  return !data.alive && data.labels.empty() && data.props.empty() &&
+         data.out_rels.empty() && data.in_rels.empty();
+}
+bool IsDeadRecord(const RelData& data) {
+  return !data.alive && data.props.empty();
+}
+
+/// The read-only chunk that every released chunk of a SlotVector<T> points
+/// at: dead records for node and relationship slots, null heads for version
+/// chains. Shared by every graph and never freed.
+template <typename T>
+T* SharedDeadChunk() {
+  static T* const chunk = [] {
+    T* records = new T[SlotVector<T>::kChunkSize]();
+    if constexpr (requires { records->alive; }) {
+      for (size_t i = 0; i < SlotVector<T>::kChunkSize; ++i) {
+        records[i].alive = false;
+      }
+    }
+    return records;
+  }();
+  return chunk;
 }
 
 /// Smallest power of two >= max(n, 16).
@@ -180,6 +210,8 @@ void PropertyGraph::StealFrom(PropertyGraph* other) noexcept {
   journaling_ = other->journaling_;
   other->journal_.clear();
   other->journaling_ = false;
+  dead_node_chunks_ = std::exchange(other->dead_node_chunks_, {});
+  dead_rel_chunks_ = std::exchange(other->dead_rel_chunks_, {});
   mvcc_on_ = other->mvcc_on_;
   write_epoch_ = other->write_epoch_;
   published_node_count_ = other->published_node_count_;
@@ -204,11 +236,14 @@ void PropertyGraph::DestroyVersions() {
   // in the retire list exactly once, so freeing the chain heads plus
   // draining the list frees everything. Dangling `prev` pointers into
   // already-drained entries are never followed — nothing reads chains here.
-  for (size_t i = 0; i < node_chains_.size(); ++i) {
-    delete node_chains_[i].head.load(std::memory_order_relaxed);
+  // Read-only walks: released chain chunks refuse mutable access.
+  const auto& node_chains = node_chains_;
+  const auto& rel_chains = rel_chains_;
+  for (size_t i = 0; i < node_chains.size(); ++i) {
+    delete node_chains[i].head.load(std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < rel_chains_.size(); ++i) {
-    delete rel_chains_[i].head.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < rel_chains.size(); ++i) {
+    delete rel_chains[i].head.load(std::memory_order_relaxed);
   }
   for (size_t s = 0; s < label_buckets_.size(); ++s) {
     delete label_buckets_[s].head.load(std::memory_order_relaxed);
@@ -354,15 +389,19 @@ PropertyGraph::NodeBucket& PropertyGraph::MutableBucket(BucketHead& slot) {
   return *bucket;
 }
 
-template <typename T>
-void PropertyGraph::Retire(T* ptr) {
+void PropertyGraph::Retire(void* ptr, void (*deleter)(void*)) {
   // Retired at the write epoch: a pin that could have loaded `ptr` holds an
   // older epoch, and reclamation waits until every pin reached this one.
   if (mvcc_on_) {
-    retired_.Add(ptr, &DeleteAs<T>, write_epoch_);
+    retired_.Add(ptr, deleter, write_epoch_);
   } else {
-    delete ptr;
+    deleter(ptr);
   }
+}
+
+template <typename T>
+void PropertyGraph::Retire(T* ptr) {
+  Retire(ptr, &DeleteAs<T>);
 }
 
 PropertyMap& PropertyGraph::MutableProps(EntityRef entity) {
@@ -614,6 +653,7 @@ void PropertyGraph::DeleteRel(RelId id) {
   data.alive = false;
   data.props.Clear();
   alive_rels_.fetch_sub(1, std::memory_order_relaxed);
+  dead_rel_chunks_.Note(id.value);
 }
 
 void PropertyGraph::DeleteNode(NodeId id) {
@@ -644,6 +684,7 @@ void PropertyGraph::DeleteNodeForce(NodeId id) {
   data.labels.clear();
   data.props.Clear();
   alive_nodes_.fetch_sub(1, std::memory_order_relaxed);
+  dead_node_chunks_.Note(id.value);
 }
 
 NodeId PropertyGraph::AppendTombstoneNode() {
@@ -653,6 +694,7 @@ NodeId PropertyGraph::AppendTombstoneNode() {
   data.alive = false;
   nodes_.Append(std::move(data));
   node_chains_.EnsureSize(nodes_.size());
+  dead_node_chunks_.Note(id.value);
   return id;
 }
 
@@ -663,22 +705,77 @@ RelId PropertyGraph::AppendTombstoneRel() {
   data.alive = false;
   rels_.Append(std::move(data));
   rel_chains_.EnsureSize(rels_.size());
+  dead_rel_chunks_.Note(id.value);
   return id;
 }
 
-bool PropertyGraph::HasDanglingRels() const {
-  size_t n = rels_.size();
-  for (uint32_t i = 0; i < n; ++i) {
-    const RelData& data = RelLatest(i);
-    if (!data.alive) continue;
-    if (!IsNodeAlive(data.src) || !IsNodeAlive(data.tgt)) return true;
+bool PropertyGraph::HasDanglingRels(JournalMark mark) const {
+  for (size_t i = mark; i < journal_.size(); ++i) {
+    const JournalOp& op = journal_[i];
+    if (op.kind != OpKind::kDeleteNode) continue;
+    const NodeData& data = NodeLatest(op.entity.id);
+    for (RelId r : data.out_rels) {
+      if (RelLatest(r.value).alive) return true;
+    }
+    for (RelId r : data.in_rels) {
+      if (RelLatest(r.value).alive) return true;
+    }
   }
   return false;
+}
+
+// ---- Dead-chunk reclamation -----------------------------------------------
+
+void PropertyGraph::ReclaimDeadChunks() {
+  AssertMutable();
+  if (!journal_.empty()) return;
+  ReclaimChunks(&nodes_, &node_chains_, &dead_node_chunks_);
+  ReclaimChunks(&rels_, &rel_chains_, &dead_rel_chunks_);
+}
+
+size_t PropertyGraph::resident_rel_chunks() const {
+  size_t chunks = (rels_.size() + SlotVector<RelData>::kChunkMask) >>
+                  SlotVector<RelData>::kChunkBits;
+  size_t resident = 0;
+  for (size_t ci = 0; ci < chunks; ++ci) resident += !rels_.IsReleased(ci);
+  return resident;
+}
+
+template <typename T>
+void PropertyGraph::ReclaimChunks(SlotVector<T>* slots,
+                                  SlotVector<Chain<T>>* chains,
+                                  DeadChunks* dead) {
+  constexpr size_t kChunkSize = SlotVector<T>::kChunkSize;
+  std::vector<uint32_t> candidates = std::exchange(dead->chunks, {});
+  SortUnique(&candidates);
+  const SlotVector<T>& records = *slots;
+  const SlotVector<Chain<T>>& heads = *chains;
+  for (uint32_t ci : candidates) {
+    size_t begin = size_t{ci} * kChunkSize;
+    // Only full chunks: the last one still takes appends. A noted chunk is
+    // never released: a slot dies by a write, which a released chunk
+    // refuses.
+    if (begin + kChunkSize > records.size()) continue;
+    bool all_dead = true;
+    for (size_t i = begin; all_dead && i < begin + kChunkSize; ++i) {
+      all_dead = IsDeadRecord(records[i]) &&
+                 heads[i].head.load(std::memory_order_relaxed) == nullptr;
+    }
+    if (!all_dead) continue;
+    // A pinned reader may be mid-walk on either old chunk: both retire.
+    Retire(slots->ReleaseChunk(ci, SharedDeadChunk<T>()),
+           &SlotVector<T>::FreeChunk);
+    Retire(chains->ReleaseChunk(ci, SharedDeadChunk<Chain<T>>()),
+           &SlotVector<Chain<T>>::FreeChunk);
+  }
 }
 
 // ---- Undo journal ---------------------------------------------------------
 
 PropertyGraph::JournalMark PropertyGraph::BeginJournal() {
+  // An empty journal means the previous statement ended and its results
+  // are built: no rollback or result can want its dead slots any more.
+  ReclaimDeadChunks();
   journaling_ = true;
   return journal_.size();
 }
@@ -699,6 +796,7 @@ void PropertyGraph::RollbackTo(JournalMark mark) {
         data.labels.clear();
         data.props.Clear();
         alive_nodes_.fetch_sub(1, std::memory_order_relaxed);
+        dead_node_chunks_.Note(op.entity.id);
         break;
       }
       case OpKind::kCreateRel: {
@@ -708,6 +806,7 @@ void PropertyGraph::RollbackTo(JournalMark mark) {
           data.alive = false;
           data.props.Clear();
           alive_rels_.fetch_sub(1, std::memory_order_relaxed);
+          dead_rel_chunks_.Note(op.entity.id);
         }
         break;
       }
@@ -972,11 +1071,7 @@ void PropertyGraph::DropIndex(Symbol label, Symbol key) {
     list.erase(list.begin() + static_cast<ptrdiff_t>(i));
     PublishIndexList(std::move(list));
     // Pinned seeks may still be walking the dropped index.
-    if (mvcc_on_) {
-      retired_.Add(index, &FreeIndex, write_epoch_);
-    } else {
-      FreeIndex(index);
-    }
+    Retire(index, &FreeIndex);
     index_epoch_.fetch_add(1, std::memory_order_relaxed);
     CaptureDdl("index-", label, key);
     return;
@@ -1217,6 +1312,7 @@ std::string DescribeNode(const PropertyGraph& graph, NodeId id) {
 std::string DescribeRel(const PropertyGraph& graph, RelId id) {
   if (!graph.IsValidRel(id)) return "-[?invalid?]-";
   const RelData& data = graph.rel(id);
+  if (data.type == kNoSymbol) return "-[]-";  // reclaimed: nothing left
   std::string out = "(" + std::to_string(data.src.value) + ")-[:";
   out += graph.TypeName(data.type);
   if (!data.props.empty()) {

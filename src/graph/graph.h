@@ -43,9 +43,11 @@ struct EntityRef {
 
 /// Stored node record. `alive` is false for deleted nodes; slots are
 /// tombstoned, never reused, so dangling references in driving tables remain
-/// detectable. In legacy mode (paper §4.2) a deleted node's labels and
-/// properties are cleared, which is how "RETURN user" after "DELETE user"
-/// yields an empty node.
+/// detectable. Ids stay reserved, but once every slot of a storage chunk is
+/// dead, the chunk's storage is freed and its slots share one read-only dead
+/// record (PropertyGraph::ReclaimDeadChunks). In legacy mode (paper §4.2) a
+/// deleted node's labels and properties are cleared, which is how "RETURN
+/// user" after "DELETE user" yields an empty node.
 struct NodeData {
   bool alive = true;
   std::vector<Symbol> labels;  // sorted, deduplicated
@@ -398,10 +400,6 @@ class PropertyGraph {
   /// properties but leaves incident relationships alive and dangling.
   void DeleteNodeForce(NodeId id);
 
-  /// True if some alive relationship has a dead endpoint. Legacy mode runs
-  /// this at end of statement (Neo4j's commit-time validation).
-  bool HasDanglingRels() const;
-
   // ---- Property indexes -----------------------------------------------------
   //
   // An index maps value hashes to posting lists of node ids. Postings are
@@ -557,15 +555,24 @@ class PropertyGraph {
   /// A position in the journal; RollbackTo(mark) undoes everything after.
   using JournalMark = size_t;
 
-  /// Starts (or continues) journaling and returns the current mark.
+  /// Starts (or continues) journaling and returns the current mark. Opening
+  /// an empty journal first reclaims dead chunks (see ReclaimDeadChunks).
   JournalMark BeginJournal();
 
   /// Undoes all journaled mutations after `mark`, most recent first.
   void RollbackTo(JournalMark mark);
 
   /// Forgets journal entries after `mark` (commit) and stops journaling if
-  /// the journal becomes empty.
+  /// the journal becomes empty. An emptied journal also compacts indexes.
   void CommitTo(JournalMark mark);
+
+  /// True if some alive relationship has an endpoint that the journal
+  /// entries after `mark` deleted. Legacy mode runs this at end of
+  /// statement (Neo4j's commit-time validation). Relationships start a
+  /// statement with live endpoints, and a dead node keeps its incident
+  /// relationships in its adjacency lists, so only the nodes this statement
+  /// deleted need a look.
+  bool HasDanglingRels(JournalMark mark) const;
 
   // ---- Statement images (write-ahead logging) ----------------------------
   //
@@ -618,6 +625,29 @@ class PropertyGraph {
   NodeId AppendTombstoneNode();
   /// Appends a dead relationship slot and returns its id.
   RelId AppendTombstoneRel();
+
+  // ---- Dead-chunk reclamation ---------------------------------------------
+  //
+  // Deleted slots stay allocated so ids are never reused, which would make
+  // memory grow with every entity ever created. Instead, a full storage
+  // chunk whose slots are all dead — each base record equal to the shared
+  // dead record (a dead node also has no labels, properties or adjacency;
+  // a dead relationship no properties) and no slot with a version chain —
+  // is repointed at one shared read-only chunk, its chain chunk likewise,
+  // and the old chunks are retired. Only chunks where a slot died or was
+  // padded since the last pass are examined.
+
+  /// Reclaims every qualifying chunk. A no-op while the journal is open
+  /// (a rollback could revive a slot). The image applier calls this once
+  /// per applied image, and BeginJournal when it opens the next statement:
+  /// a dead relationship keeps its type and endpoints until then, so the
+  /// statement that deleted it can still render it in its results. Once
+  /// reclaimed, it reads as the shared dead record (type kNoSymbol).
+  void ReclaimDeadChunks();
+
+  /// Relationship storage chunks (of SlotVector::kChunkSize slots) still
+  /// allocated (writer-side; scans the chunk directory).
+  size_t resident_rel_chunks() const;
 
  private:
   enum class OpKind {
@@ -784,10 +814,29 @@ class PropertyGraph {
   NodeBucket& MutableBucket(BucketHead& slot);
   PropertyMap& MutableProps(EntityRef entity);
 
-  /// Frees `ptr` once no pin can reach it: through the retire list with
-  /// MVCC, at once without (no reader runs beside a mutation then).
+  /// Frees `ptr` with `deleter` once no pin can reach it: through the
+  /// retire list with MVCC, at once without (no reader runs beside a
+  /// mutation then). The one-argument form deletes a single T.
+  void Retire(void* ptr, void (*deleter)(void*));
   template <typename T>
   void Retire(T* ptr);
+
+  /// Chunks where a slot died or was padded since their last examination
+  /// (writer-only).
+  struct DeadChunks {
+    std::vector<uint32_t> chunks;
+
+    /// A slot died or was padded dead: remember its chunk.
+    void Note(uint32_t slot) {
+      uint32_t chunk = slot >> SlotVector<NodeData>::kChunkBits;
+      if (chunks.empty() || chunks.back() != chunk) chunks.push_back(chunk);
+    }
+  };
+  /// Reclaims the qualifying chunks among the entries of `dead` and drops
+  /// the entries (see ReclaimDeadChunks).
+  template <typename T>
+  void ReclaimChunks(SlotVector<T>* slots, SlotVector<Chain<T>>* chains,
+                     DeadChunks* dead);
 
   /// Grows the dense per-label bucket/count tables to cover `label`.
   void EnsureLabelSlots(Symbol label);
@@ -887,6 +936,8 @@ class PropertyGraph {
   std::atomic<size_t> alive_rels_{0};
   std::vector<JournalOp> journal_;
   bool journaling_ = false;
+  DeadChunks dead_node_chunks_;
+  DeadChunks dead_rel_chunks_;
 
   // ---- MVCC state (writer-owned except where noted) ------------------------
 

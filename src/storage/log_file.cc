@@ -59,19 +59,16 @@ class PosixLogFile : public LogFile {
 
   Result<std::string> ReadAll() override {
     std::string out;
-    out.resize(size_);
-    size_t done = 0;
-    while (done < out.size()) {
-      ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
-                          static_cast<off_t>(done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return IoError("pread");
-      }
-      if (n == 0) break;  // shorter than expected: trust what is there
-      done += static_cast<size_t>(n);
+    CYPHER_RETURN_NOT_OK(Pread(0, size_, &out));
+    return out;  // shorter than expected: trust what is there
+  }
+
+  Result<std::string> ReadRange(uint64_t offset, uint64_t len) override {
+    std::string out;
+    CYPHER_RETURN_NOT_OK(Pread(offset, len, &out));
+    if (out.size() != len) {
+      return Status::Aborted("log file: read past the end");
     }
-    out.resize(done);
     return out;
   }
 
@@ -117,6 +114,25 @@ class PosixLogFile : public LogFile {
   uint64_t size() const override { return size_; }
 
  private:
+  /// Reads up to `len` bytes at `offset` into `*out`, stopping early at
+  /// the end of the file.
+  Status Pread(uint64_t offset, uint64_t len, std::string* out) {
+    out->resize(len);
+    size_t done = 0;
+    while (done < len) {
+      ssize_t n = ::pread(fd_, out->data() + done, len - done,
+                          static_cast<off_t>(offset + done));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return IoError("pread");
+      }
+      if (n == 0) break;
+      done += static_cast<size_t>(n);
+    }
+    out->resize(done);
+    return Status::OK();
+  }
+
   int fd_;
   uint64_t size_;
   std::string path_;

@@ -48,7 +48,26 @@ class LogFile {
   /// The full current contents (recovery reads the log once at open).
   virtual Result<std::string> ReadAll() = 0;
 
+  /// The `len` bytes at `offset` (the replication shipper reads only the
+  /// tail it has not shipped). A range past the end is an error. The
+  /// default slices ReadAll — correct, but it reads the whole log;
+  /// PosixLogFile and MemoryLogFile read just the range.
+  virtual Result<std::string> ReadRange(uint64_t offset, uint64_t len) {
+    CYPHER_ASSIGN_OR_RETURN(std::string all, ReadAll());
+    return Slice(all, offset, len);
+  }
+
   virtual uint64_t size() const = 0;
+
+ protected:
+  /// The `len` bytes of `bytes` at `offset`, or an error past the end.
+  static Result<std::string> Slice(const std::string& bytes, uint64_t offset,
+                                   uint64_t len) {
+    if (offset > bytes.size() || len > bytes.size() - offset) {
+      return Status::Aborted("log file: read past the end");
+    }
+    return bytes.substr(offset, len);
+  }
 };
 
 /// Opens (creating if absent) an append-only file at `path`. Sync runs
@@ -73,6 +92,9 @@ class MemoryLogFile : public LogFile {
     return Status::OK();
   }
   Result<std::string> ReadAll() override { return bytes_; }
+  Result<std::string> ReadRange(uint64_t offset, uint64_t len) override {
+    return Slice(bytes_, offset, len);
+  }
   uint64_t size() const override { return bytes_.size(); }
 
   const std::string& bytes() const { return bytes_; }
@@ -89,7 +111,10 @@ class MemoryLogFile : public LogFile {
 /// configured trip point, then fails every call (a dying disk stays dead).
 /// The crossing Append can optionally tear — write a prefix of its bytes
 /// before failing — which is exactly the half-written-record case the
-/// torn-write rule must make invisible.
+/// torn-write rule must make invisible. Replace follows PosixLogFile's
+/// protocol — temp write, fsync, rename — as three counted calls, and the
+/// temp write charges its bytes against the byte budget; a trip at any step
+/// leaves `base` holding the old log (a torn temp file is never renamed).
 class FaultyLogFile : public LogFile {
  public:
   explicit FaultyLogFile(std::unique_ptr<LogFile> base)
@@ -103,13 +128,17 @@ class FaultyLogFile : public LogFile {
     has_byte_budget_ = true;
   }
 
-  /// Trips on the `calls`-th Append/Sync call (1-based) and every later one.
+  /// Trips on the `calls`-th Append/Sync call (1-based) and every later one;
+  /// each Replace step counts as one call.
   void FailAfterCalls(uint64_t calls) {
     call_budget_ = calls;
     has_call_budget_ = true;
   }
 
   bool tripped() const { return tripped_; }
+
+  /// Append/Sync calls (and Replace steps) made so far.
+  uint64_t calls() const { return calls_; }
 
   /// The wrapped log (tests inspect what survived the "crash").
   LogFile* base() { return base_.get(); }
@@ -138,7 +167,23 @@ class FaultyLogFile : public LogFile {
     return base_->Truncate(new_size);
   }
 
+  Status Replace(const void* data, size_t size) override {
+    if (CountCall()) return Trip();  // temp write
+    if (has_byte_budget_ && appended_ + size > byte_budget_) {
+      appended_ = byte_budget_;
+      return Trip();
+    }
+    appended_ += size;
+    if (CountCall()) return Trip();  // fsync
+    if (CountCall()) return Trip();  // rename
+    return base_->Replace(data, size);
+  }
+
   Result<std::string> ReadAll() override { return base_->ReadAll(); }
+
+  Result<std::string> ReadRange(uint64_t offset, uint64_t len) override {
+    return base_->ReadRange(offset, len);
+  }
 
   uint64_t size() const override { return base_->size(); }
 

@@ -324,6 +324,9 @@ Status ApplyImage(PropertyGraph* graph, std::string_view image) {
   for (NodeId id : node_deaths) graph->DeleteNodeForce(id);
   while (graph->node_capacity() < node_capacity) graph->AppendTombstoneNode();
   while (graph->rel_capacity() < rel_capacity) graph->AppendTombstoneRel();
+  // Snapshots, recovery and followers all land here: free the chunks this
+  // image left all dead.
+  graph->ReclaimDeadChunks();
   return Status::OK();
 }
 

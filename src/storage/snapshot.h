@@ -45,9 +45,10 @@ std::string EncodeStatementImage(const PropertyGraph& graph,
 /// property indexes and MVCC versions stay right. A slot at or past the
 /// graph's capacity is padded to and created; an existing live slot gets
 /// its labels and properties replaced. Node deaths apply after every other
-/// line, then the graph is padded to the capacity lines. Stops at the first
-/// malformed line (InvalidArgument naming it), leaving earlier lines
-/// applied.
+/// line, then the graph is padded to the capacity lines, and the chunks
+/// left all dead are reclaimed (PropertyGraph::ReclaimDeadChunks). Stops at
+/// the first malformed line (InvalidArgument naming it), leaving earlier
+/// lines applied.
 Status ApplyImage(PropertyGraph* graph, std::string_view image);
 
 /// ApplyImage on an empty graph. The result has the exact slot layout of

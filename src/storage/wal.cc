@@ -284,13 +284,13 @@ Result<std::string> WalWriter::ReadDurableFrom(uint64_t from_lsn,
     return std::string();
   }
   *end_lsn = durable_lsn_;
-  CYPHER_ASSIGN_OR_RETURN(std::string bytes, file_->ReadAll());
+  // Only the unshipped tail: a pump costs the bytes it ships, not the log.
   uint64_t begin = from_lsn - base_offset_;
   uint64_t end = durable_lsn_ - base_offset_;
-  if (end > bytes.size()) {
+  if (end > file_->size()) {
     return Status::InternalError("durable prefix exceeds log file size");
   }
-  return bytes.substr(begin, end - begin);
+  return file_->ReadRange(begin, end - begin);
 }
 
 uint64_t WalWriter::LogBytes() const {

@@ -150,6 +150,7 @@ class WalWriter {
 
   /// Reads the durable byte range [from_lsn, durable_lsn) — whole framed
   /// records by construction — and reports the range end in `*end_lsn`.
+  /// Only that range is read from the file (LogFile::ReadRange).
   /// Waits out an in-flight group-commit leader so the read never races an
   /// append. `from_lsn` must be at or above the compaction base (guaranteed
   /// for any pinned cursor); a cursor at or ahead of the durable end (a

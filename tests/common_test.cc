@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "common/csv.h"
 #include "common/interner.h"
 #include "common/random.h"
 #include "common/result.h"
+#include "common/slot_vector.h"
 #include "common/status.h"
 #include "common/strings.h"
 
@@ -167,6 +175,121 @@ TEST(RandomTest, ShufflePermutes) {
   std::vector<int> sorted = items;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, original);
+}
+
+// ---- SlotVector chunk release -----------------------------------------------
+
+constexpr size_t kChunk = SlotVector<int>::kChunkSize;
+
+/// The read-only chunk released positions share; outlives every vector.
+int* SharedChunk() {
+  static std::array<int, kChunk> shared = [] {
+    std::array<int, kChunk> values;
+    values.fill(-1);
+    return values;
+  }();
+  return shared.data();
+}
+
+/// Chunks holding storage of their own: allocated and not released.
+size_t ResidentChunks(const SlotVector<int>& v) {
+  size_t resident = 0;
+  for (size_t ci = 0; ci * kChunk < v.size(); ++ci) {
+    resident += !v.IsReleased(ci);
+  }
+  return resident;
+}
+
+TEST(SlotVectorTest, ReleasedChunkReadsSharedValueAndFreesOnce) {
+  SlotVector<int> v;
+  for (size_t i = 0; i < 3 * kChunk + 5; ++i) v.Append(static_cast<int>(i));
+  EXPECT_EQ(ResidentChunks(v), 4u);
+  int* old = v.ReleaseChunk(1, SharedChunk());
+  ASSERT_NE(old, nullptr);
+  EXPECT_EQ(old[0], static_cast<int>(kChunk));
+  SlotVector<int>::FreeChunk(old);
+  EXPECT_TRUE(v.IsReleased(1));
+  EXPECT_FALSE(v.IsReleased(0));
+  EXPECT_EQ(ResidentChunks(v), 3u);
+  const SlotVector<int>& read = v;
+  for (size_t i = kChunk; i < 2 * kChunk; ++i) EXPECT_EQ(read[i], -1);
+  EXPECT_EQ(read[kChunk - 1], static_cast<int>(kChunk - 1));
+  EXPECT_EQ(read[2 * kChunk], static_cast<int>(2 * kChunk));
+  // Growing past the first spine copies the shared pointer along.
+  while (v.size() < 20 * kChunk) v.Append(7);
+  EXPECT_EQ(read[kChunk + 3], -1);
+  EXPECT_TRUE(v.IsReleased(1));
+  // A move carries the release state; both destructors then run. A double
+  // free, or a free of the shared chunk, is what ASan would flag here.
+  SlotVector<int> moved(std::move(v));
+  EXPECT_TRUE(moved.IsReleased(1));
+  EXPECT_EQ(ResidentChunks(moved), 19u);
+  SlotVector<int> assigned;
+  assigned.Append(1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned[5], 5);
+  EXPECT_EQ(std::as_const(assigned)[kChunk], -1);
+}
+
+TEST(SlotVectorDeathTest, WriteIntoReleasedChunkAborts) {
+  EXPECT_DEATH(
+      {
+        SlotVector<int> v;
+        for (size_t i = 0; i < 2 * kChunk; ++i) v.Append(0);
+        SlotVector<int>::FreeChunk(v.ReleaseChunk(0, SharedChunk()));
+        v[3] = 1;
+      },
+      "write into a released SlotVector chunk");
+}
+
+TEST(SlotVectorDeathTest, SecondReleaseOfAChunkAborts) {
+  EXPECT_DEATH(
+      {
+        SlotVector<int> v;
+        for (size_t i = 0; i < 2 * kChunk; ++i) v.Append(0);
+        SlotVector<int>::FreeChunk(v.ReleaseChunk(0, SharedChunk()));
+        v.ReleaseChunk(0, SharedChunk());
+      },
+      "SlotVector chunk released twice");
+}
+
+// Readers index concurrently while the writer appends, grows the spine and
+// releases chunks; old chunks are freed only after the readers stop (what
+// a retire list does). Every read sees either the original value or the
+// shared one, which agree: released chunks hold only -1s. Run under TSan in
+// CI.
+TEST(SlotVectorTest, ConcurrentReadersSeeReleasedChunksConsistently) {
+  constexpr size_t kChunks = 40;
+  SlotVector<int> v;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&v, &done, t] {
+      const SlotVector<int>& read = v;
+      size_t probe = static_cast<size_t>(t) * 7919;
+      while (!done.load(std::memory_order_acquire)) {
+        size_t n = read.size();
+        if (n == 0) continue;
+        probe = (probe * 6364136223846793005ULL + 1442695040888963407ULL);
+        size_t i = (probe >> 17) % n;
+        int value = read[i];
+        bool dead_chunk = (i / kChunk) % 2 == 0;
+        EXPECT_EQ(value, dead_chunk ? -1 : static_cast<int>(i));
+      }
+    });
+  }
+  std::vector<int*> retired;
+  for (size_t c = 0; c < kChunks; ++c) {
+    for (size_t k = 0; k < kChunk; ++k) {
+      size_t i = c * kChunk + k;
+      v.Append(c % 2 == 0 ? -1 : static_cast<int>(i));
+    }
+    if (c % 2 == 0) retired.push_back(v.ReleaseChunk(c, SharedChunk()));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  for (int* chunk : retired) SlotVector<int>::FreeChunk(chunk);
+  EXPECT_EQ(ResidentChunks(v), kChunks / 2);
 }
 
 }  // namespace

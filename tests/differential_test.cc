@@ -37,9 +37,12 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+#include "exec/interpreter.h"
 #include "exec/options.h"
 #include "exec/render.h"
 #include "graph/serialize.h"
+#include "parser/parser.h"
 #include "query_gen.h"
 #include "rewriter.h"
 #include "test_util.h"
@@ -659,6 +662,93 @@ TEST(PlanCacheDifferential, ParametrizedMatchesInline) {
       }
     }
   }
+}
+
+// ---- Legacy dangling check -------------------------------------------------
+
+/// The full-scan form of legacy's end-of-statement check: some alive
+/// relationship has a dead endpoint.
+bool DanglingByFullScan(const PropertyGraph& graph) {
+  for (RelId r : graph.AllRels()) {
+    const RelData& data = graph.rel(r);
+    if (!graph.IsNodeAlive(data.src) || !graph.IsNodeAlive(data.tgt)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `query` with DETACH dropped, so its legacy DELETEs can leave
+/// relationships dangling.
+std::string WithoutDetach(std::string query) {
+  for (size_t at = query.find("DETACH "); at != std::string::npos;
+       at = query.find("DETACH ", at)) {
+    query.erase(at, 7);
+  }
+  return query;
+}
+
+// The engine's check looks only at the nodes the statement deleted. It must
+// agree with a scan of every relationship: at each statement's commit
+// point over the update corpus (DETACH dropped, then kept) under legacy
+// semantics, and after every step of random force deletes, relationship
+// deletes and creates inside an open statement on the same graphs.
+TEST(DifferentialTest, LegacyDanglingCheckMatchesFullScan) {
+  EvalOptions legacy;
+  legacy.semantics = SemanticsMode::kLegacy;
+  size_t refused = 0;
+  size_t dangling_steps = 0;
+  size_t clean_steps = 0;
+  for (uint64_t gs = 1; gs <= kGraphSeeds; ++gs) {
+    GraphDatabase db;
+    ASSERT_TRUE(BuildRandomGraph(&db, gs).ok());
+    PropertyGraph& graph = db.graph();
+    Symbol type = graph.InternType("R");
+    SplitMix64 rng(gs);
+    for (uint64_t qs = 0; qs < kQueriesPerGraph; ++qs) {
+      const std::string update = GenerateUpdateQuery(gs * 1000 + qs);
+      for (const std::string& text : {WithoutDetach(update), update}) {
+        auto query = ParseQuery(text);
+        ASSERT_TRUE(query.ok()) << text;
+        CommitHook hook = [&](PropertyGraph::JournalMark mark) {
+          EXPECT_FALSE(graph.HasDanglingRels(mark)) << text;
+          EXPECT_FALSE(DanglingByFullScan(graph)) << text;
+          return Status::OK();
+        };
+        auto result = ExecuteQuery(&graph, *query, {}, legacy, hook);
+        if (!result.ok() &&
+            result.status().message().find("without endpoints") !=
+                std::string::npos) {
+          ++refused;
+        }
+        ASSERT_FALSE(DanglingByFullScan(graph)) << text;
+      }
+      PropertyGraph::JournalMark mark = graph.BeginJournal();
+      for (int step = 0; step < 8; ++step) {
+        std::vector<NodeId> nodes = graph.AllNodes();
+        std::vector<RelId> rels = graph.AllRels();
+        uint64_t op = rng.NextBelow(3);
+        if (op == 0 && !nodes.empty()) {
+          graph.DeleteNodeForce(nodes[rng.NextBelow(nodes.size())]);
+        } else if (op == 1 && !rels.empty()) {
+          graph.DeleteRel(rels[rng.NextBelow(rels.size())]);
+        } else if (nodes.size() >= 2) {
+          NodeId src = nodes[rng.NextBelow(nodes.size())];
+          NodeId tgt = nodes[rng.NextBelow(nodes.size())];
+          ASSERT_TRUE(graph.CreateRel(src, tgt, type, {}).ok());
+        }
+        bool dangling = DanglingByFullScan(graph);
+        ASSERT_EQ(graph.HasDanglingRels(mark), dangling)
+            << "graph seed " << gs << ", query " << qs << ", step " << step;
+        ++(dangling ? dangling_steps : clean_steps);
+      }
+      graph.RollbackTo(mark);
+    }
+  }
+  // Both outcomes occur, at statement and at step level.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(dangling_steps, 0u);
+  EXPECT_GT(clean_steps, 0u);
 }
 
 }  // namespace

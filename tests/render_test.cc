@@ -94,5 +94,41 @@ TEST_F(RenderTest, ZombieNodeRendersEmpty) {
   EXPECT_EQ(RenderValue(db.graph(), r.rows[0][0]), "()");
 }
 
+// Deleted relationships keep their type until the writer's next statement
+// opens, which may reclaim a chunk of 512 dead slots. Here the chunk's
+// first 511 relationships die one statement before its last one: the
+// statement deleting the last still renders it whole.
+// (Legacy semantics, where a deleted entity stays bound after DELETE.)
+TEST_F(RenderTest, DeletedRelationshipRendersUntilTheNextStatement) {
+  EvalOptions legacy;
+  legacy.semantics = SemanticsMode::kLegacy;
+  GraphDatabase db(legacy);
+  RunOk(&db,
+        "CREATE (a:A) WITH a UNWIND range(1, 512) AS i "
+        "CREATE (a)-[:T {i: i}]->(a)");
+  RunOk(&db, "MATCH ()-[r]->() WHERE r.i < 512 DELETE r");
+  QueryResult r = RunOk(&db,
+                        "MATCH p = ()-[r]->() WHERE r.i = 512 DELETE r "
+                        "RETURN r, p, type(r), startNode(r) = endNode(r)");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][0]), "[:T]");
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][1]), "(:A)-[:T]->(:A)");
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][2]), "'T'");
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][3]), "true");
+  EXPECT_EQ(db.graph().resident_rel_chunks(), 1u);
+
+  // The next statement reclaims the chunk: the old result's relationship
+  // has lost its type and endpoints, and renders as a bare deleted one.
+  RunOk(&db, "RETURN 1");
+  EXPECT_EQ(db.graph().resident_rel_chunks(), 0u);
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][0]), "[]");
+  EXPECT_EQ(RenderValue(db.graph(), r.rows[0][1]), "(:A)-[]-(:A)");
+  QueryResult fns =
+      RunOk(&db, "RETURN type($r), startNode($r), endNode($r)",
+            {{"r", r.rows[0][0]}});
+  ASSERT_EQ(fns.rows.size(), 1u);
+  for (const Value& v : fns.rows[0]) EXPECT_TRUE(v.is_null());
+}
+
 }  // namespace
 }  // namespace cypher

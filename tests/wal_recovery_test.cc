@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "query_gen.h"
+#include "replication/transport.h"
 #include "storage/log_file.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -244,15 +245,16 @@ struct ReferenceRun {
 
 // Runs the seeded workload against a fault-free in-memory log, recording the
 // log length and graph image at every commit boundary.
-ReferenceRun RecordReference(uint64_t seed) {
+ReferenceRun RecordReference(uint64_t seed, DurabilityOptions durability = {},
+                             size_t statements = kWorkloadStatements) {
   ReferenceRun run;
   GraphDatabase db;
   EXPECT_TRUE(BuildRandomGraph(&db, seed).ok());
   auto mem = std::make_unique<MemoryLogFile>();
   MemoryLogFile* raw = mem.get();
-  EXPECT_TRUE(db.OpenDurable(std::move(mem)).ok());
+  EXPECT_TRUE(db.OpenDurable(std::move(mem), durability).ok());
   run.boundaries.push_back({raw->size(), DumpGraphCanonical(db.graph())});
-  for (std::string& q : GenerateUpdateWorkload(seed, kWorkloadStatements)) {
+  for (std::string& q : GenerateUpdateWorkload(seed, statements)) {
     auto result = db.Execute(q);
     EXPECT_TRUE(result.ok()) << q << "\n  -> " << result.status().ToString();
     run.statements.push_back(std::move(q));
@@ -341,6 +343,9 @@ class BorrowedLogFile : public storage::LogFile {
   Status Truncate(uint64_t new_size) override {
     return base_->Truncate(new_size);
   }
+  Status Replace(const void* data, size_t size) override {
+    return base_->Replace(data, size);
+  }
   Result<std::string> ReadAll() override { return base_->ReadAll(); }
   uint64_t size() const override { return base_->size(); }
 
@@ -353,10 +358,12 @@ class BorrowedLogFile : public storage::LogFile {
 // is refused and rolled back, and (b) recovery from the surviving bytes
 // equals the last successfully committed statement's graph.
 void RunFaultedWorkload(const ReferenceRun& run, uint64_t seed,
-                        FaultyLogFile* faulty) {
+                        FaultyLogFile* faulty,
+                        DurabilityOptions durability = {}) {
   GraphDatabase db;
   ASSERT_TRUE(BuildRandomGraph(&db, seed).ok());
-  Status open = db.OpenDurable(std::make_unique<BorrowedLogFile>(faulty));
+  Status open =
+      db.OpenDurable(std::make_unique<BorrowedLogFile>(faulty), durability);
   size_t committed = 0;
   if (open.ok()) {
     for (const std::string& q : run.statements) {
@@ -379,7 +386,11 @@ void RunFaultedWorkload(const ReferenceRun& run, uint64_t seed,
   // Crash now: recover whatever the dying "disk" kept.
   auto survived = faulty->base()->ReadAll();
   ASSERT_TRUE(survived.ok());
-  if (survived->size() < storage::kWalMagicSize) return;  // died pre-magic
+  if (survived->size() < storage::kWalMagicSize) {
+    // Only a log that died before its magic was synced may be this short.
+    EXPECT_FALSE(open.ok()) << "a crash emptied a log that had committed";
+    return;
+  }
   auto recovered = RecoverGraph(*survived);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   std::string dump = DumpGraphCanonical(recovered->graph);
@@ -434,6 +445,59 @@ TEST(WalRecovery, WriterDiesAtCallBudgets) {
     SCOPED_TRACE("calls=" + std::to_string(calls));
     RunFaultedWorkload(run, seed, &faulty);
   }
+}
+
+// The same every-call sweep with auto-checkpoints compacting the log
+// as it grows: each WalWriter::Rewrite adds three call points (temp
+// write, fsync, rename). A crash at any of them must leave the old log,
+// which still recovers the committed prefix.
+TEST(WalRecovery, WriterDiesAtCallBudgetsAcrossRewrites) {
+  const uint64_t seed = 7;
+  DurabilityOptions durability;
+  durability.auto_checkpoint_bytes = 512;
+  constexpr size_t kStatements = 4 * kWorkloadStatements;
+  ReferenceRun run = RecordReference(seed, durability, kStatements);
+  // Count the calls of a fault-free run, and check it compacts.
+  MemoryLogFile counted;
+  FaultyLogFile counter(std::make_unique<BorrowedLogFile>(&counted));
+  counter.FailAfterCalls(UINT64_MAX);
+  RunFaultedWorkload(run, seed, &counter, durability);
+  ASSERT_LT(counted.size(), RecordReference(seed, {}, kStatements).log.size())
+      << "no rewrite happened";
+  const uint64_t total = counter.calls();
+  for (uint64_t calls = 1; calls <= total + 1; ++calls) {
+    MemoryLogFile disk;
+    FaultyLogFile faulty(std::make_unique<BorrowedLogFile>(&disk));
+    faulty.FailAfterCalls(calls);
+    SCOPED_TRACE("calls=" + std::to_string(calls));
+    RunFaultedWorkload(run, seed, &faulty, durability);
+  }
+}
+
+// The byte-budget sweep with auto-checkpoints: a Rewrite's temp write
+// spends budget too, and a trip inside it must leave the old log.
+TEST(WalRecovery, WriterDiesAtByteBudgetsAcrossRewrites) {
+  const uint64_t seed = 6;
+  DurabilityOptions durability;
+  durability.auto_checkpoint_bytes = 512;
+  constexpr size_t kStatements = 4 * kWorkloadStatements;
+  ReferenceRun run = RecordReference(seed, durability, kStatements);
+  // Sweep until a budget outlasts the whole run; the cap only guards the
+  // loop against a writer that never stops writing.
+  bool outlasted = false;
+  for (uint64_t budget = storage::kWalMagicSize;
+       !outlasted && budget < 64 * run.log.size(); budget += 61) {
+    for (bool torn : {false, true}) {
+      MemoryLogFile disk;
+      FaultyLogFile faulty(std::make_unique<BorrowedLogFile>(&disk));
+      faulty.FailAfterBytes(budget, torn);
+      SCOPED_TRACE("budget=" + std::to_string(budget) +
+                   (torn ? " torn" : " clean"));
+      RunFaultedWorkload(run, seed, &faulty, durability);
+      outlasted = !faulty.tripped();
+    }
+  }
+  EXPECT_TRUE(outlasted);
 }
 
 // ---- Checkpoint -----------------------------------------------------------
@@ -559,6 +623,168 @@ TEST(WalRetention, BaseLsnAdvancesWithCompaction) {
   ASSERT_EQ(records->size(), 2u);
   EXPECT_EQ((*records)[0].type, WalRecordType::kSnapshot);
   EXPECT_EQ((*records)[1].payload, "three");
+}
+
+// ---- Ranged durable reads -------------------------------------------------
+
+/// Appends `count` statement records of growing size and syncs each; returns
+/// the record boundaries (the LSN before each record, then the end).
+std::vector<uint64_t> AppendRecords(storage::WalWriter* writer, int count) {
+  std::vector<uint64_t> boundaries{writer->appended_lsn()};
+  for (int i = 0; i < count; ++i) {
+    std::string payload(1 + 37 * i, static_cast<char>('a' + i % 26));
+    auto lsn = writer->Append(WalRecordType::kStatement, payload);
+    EXPECT_TRUE(lsn.ok());
+    EXPECT_TRUE(writer->Sync(*lsn).ok());
+    boundaries.push_back(*lsn);
+  }
+  return boundaries;
+}
+
+/// From every record boundary below the durable end, ReadDurableFrom
+/// returns exactly the bytes a ReadAll slice holds there.
+void ExpectRangedReadsMatchSlices(storage::WalWriter* writer,
+                                  storage::LogFile* file,
+                                  const std::vector<uint64_t>& boundaries) {
+  auto all = file->ReadAll();
+  ASSERT_TRUE(all.ok());
+  const uint64_t base = writer->base_lsn() - storage::kWalMagicSize;
+  const uint64_t durable = writer->durable_lsn();
+  for (uint64_t from : boundaries) {
+    if (from < writer->base_lsn() || from >= durable) continue;
+    uint64_t end = 0;
+    auto bytes = writer->ReadDurableFrom(from, &end);
+    ASSERT_TRUE(bytes.ok()) << "from=" << from << ": "
+                            << bytes.status().ToString();
+    EXPECT_EQ(end, durable);
+    EXPECT_EQ(*bytes, all->substr(from - base, durable - from))
+        << "from=" << from;
+  }
+}
+
+/// Before and after a compaction, for the in-memory and the Posix log.
+void RangedReadOracle(std::unique_ptr<storage::LogFile> log) {
+  storage::LogFile* file = log.get();
+  ASSERT_TRUE(file->Append(storage::kWalMagic, storage::kWalMagicSize).ok());
+  storage::WalWriter writer(std::move(log));
+  std::vector<uint64_t> boundaries = AppendRecords(&writer, 12);
+  ExpectRangedReadsMatchSlices(&writer, file, boundaries);
+
+  const uint64_t old_base = writer.base_lsn();
+  ASSERT_TRUE(writer.Rewrite(WalRecordType::kSnapshot, "snapshot").ok());
+  boundaries = AppendRecords(&writer, 9);
+  boundaries.insert(boundaries.begin(), writer.base_lsn());
+  ExpectRangedReadsMatchSlices(&writer, file, boundaries);
+
+  // Below the compaction base the read is still refused by name.
+  uint64_t end = 0;
+  auto stale = writer.ReadDurableFrom(old_base, &end);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.status().message().find("below the compaction base"),
+            std::string::npos)
+      << stale.status().ToString();
+}
+
+TEST(WalRangedRead, MemoryLogMatchesWholeLogSlices) {
+  RangedReadOracle(std::make_unique<MemoryLogFile>());
+}
+
+TEST(WalRangedRead, PosixLogMatchesWholeLogSlices) {
+  std::string path = ::testing::TempDir() + "/cypher_wal_ranged.log";
+  std::remove(path.c_str());
+  auto file = storage::OpenPosixLogFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  RangedReadOracle(std::move(*file));
+  std::remove(path.c_str());
+}
+
+/// Counts the bytes the log hands out through either read.
+class CountingLogFile : public MemoryLogFile {
+ public:
+  Result<std::string> ReadAll() override {
+    Result<std::string> bytes = MemoryLogFile::ReadAll();
+    if (bytes.ok()) bytes_read += bytes->size();
+    return bytes;
+  }
+  Result<std::string> ReadRange(uint64_t offset, uint64_t len) override {
+    bytes_read += len;
+    return MemoryLogFile::ReadRange(offset, len);
+  }
+  uint64_t bytes_read = 0;
+};
+
+// Every commit pumps the shipper; the pump must read just the record it
+// ships, however long the log has grown.
+TEST(WalRangedRead, PumpReadsOnlyTheNewBytes) {
+  const uint64_t seed = 12;
+  GraphDatabase db;
+  ASSERT_TRUE(BuildRandomGraph(&db, seed).ok());
+  auto file = std::make_unique<CountingLogFile>();
+  CountingLogFile* raw = file.get();
+  ASSERT_TRUE(db.OpenDurable(std::move(file)).ok());
+  auto transport = std::make_shared<replication::InProcessTransport>();
+  ASSERT_TRUE(db.AttachFollower(transport).ok());
+  for (const std::string& q : GenerateUpdateWorkload(seed, 40)) {
+    const uint64_t size_before = raw->size();
+    const uint64_t read_before = raw->bytes_read;
+    ASSERT_TRUE(db.Run(q).ok()) << q;
+    EXPECT_EQ(raw->bytes_read - read_before, raw->size() - size_before) << q;
+  }
+}
+
+// A crash inside PosixLogFile::Replace before its rename leaves a stray
+// temp file beside the intact old log: the log recovers as it was, and the
+// next compaction overwrites the temp file.
+TEST(WalRecovery, PosixCrashBeforeRenameKeepsTheOldLog) {
+  std::string path = ::testing::TempDir() + "/cypher_wal_compact.log";
+  std::remove(path.c_str());
+  std::string dump;
+  {
+    GraphDatabase db;
+    ASSERT_TRUE(BuildRandomGraph(&db, 14).ok());
+    auto file = storage::OpenPosixLogFile(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE(db.OpenDurable(std::move(*file)).ok());
+    for (const std::string& q : GenerateUpdateWorkload(14, 8)) {
+      ASSERT_TRUE(db.Run(q).ok());
+    }
+    dump = DumpGraphCanonical(db.graph());
+  }
+  {
+    // A torn temp write: half a snapshot, never renamed.
+    std::FILE* tmp = std::fopen((path + ".compact").c_str(), "wb");
+    ASSERT_NE(tmp, nullptr);
+    std::string half = Magic() + "\x10\x00\x00";
+    std::fwrite(half.data(), 1, half.size(), tmp);
+    std::fclose(tmp);
+  }
+  DurabilityOptions durability;
+  durability.auto_checkpoint_bytes = 1;
+  GraphDatabase revived;
+  auto file = storage::OpenPosixLogFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE(revived.OpenDurable(std::move(*file), durability).ok());
+  EXPECT_EQ(DumpGraphCanonical(revived.graph()), dump);
+  // Commits grow the log until it doubles and compacts through the same
+  // temp path, which the rename then consumes.
+  auto temp_exists = [&] {
+    std::FILE* f = std::fopen((path + ".compact").c_str(), "rb");
+    if (f != nullptr) std::fclose(f);
+    return f != nullptr;
+  };
+  for (int i = 0; i < 1000 && temp_exists(); ++i) {
+    ASSERT_TRUE(
+        revived.Run("CREATE (:Revived {id: " + std::to_string(i) + "})").ok());
+  }
+  ASSERT_FALSE(temp_exists()) << "no compaction happened";
+  const std::string after = DumpGraphCanonical(revived.graph());
+  GraphDatabase again;
+  auto reopened = storage::OpenPosixLogFile(path);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_TRUE(again.OpenDurable(std::move(*reopened)).ok());
+  EXPECT_EQ(DumpGraphCanonical(again.graph()), after);
+  std::remove(path.c_str());
+  std::remove((path + ".compact").c_str());
 }
 
 // ---- Open-time behaviour --------------------------------------------------
